@@ -18,12 +18,12 @@ import os
 import sys
 import tempfile
 
-from .scalar import Q, format_scalar, parse_scalar, to_float
-from .space import norm_eval, space_from_json
+from .scalar import format_scalar, parse_scalar, to_float
+from .space import space_from_json
 from .linmap import (is_isometric_embedding, is_quotient_map, linear_map,
                      operator_norm)
 from .systems import (InverseSystem, compatible_from_tail, dualize,
-                      generator_from_tail, project, stage_norms,
+                      generator_from_tail, stage_norms,
                       system_from_json, system_to_json, validate_standard,
                       SubspaceGenerator)
 from .determining import (CertifyConfig, DeterminingQuery, RhoSchedule,
@@ -34,6 +34,12 @@ from .determining import (CertifyConfig, DeterminingQuery, RhoSchedule,
 from . import curves as curves_mod
 
 EXIT_BAD_INPUT = 3
+
+# What a malformed job raises: ValueError (unreadable files and bad JSON
+# too, from _load_job), a JSON value of the wrong type met by a lookup or
+# attribute access, or a number out of range (JSON Infinity as an int).
+_BAD_INPUT = (ValueError, LookupError, TypeError, ArithmeticError,
+              AttributeError)
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +82,15 @@ def _write_atomic(path, text):
 def _load_job(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            job = json.load(fh)
     except OSError as e:
-        raise SystemExit(f"cannot read {path}: {e}")
+        raise ValueError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
-        raise SystemExit(
-            f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}")
+        raise ValueError(
+            f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from e
+    if not isinstance(job, dict):
+        raise ValueError(f"{path}: a job must be a JSON object")
+    return job
 
 
 def _truncate(system, max_stage):
@@ -416,11 +425,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    job = _load_job(args.input)
     manifest = _manifest(args)
     try:
+        job = _load_job(args.input)
         report, code = HANDLERS[args.command](args, job)
-    except (ValueError, KeyError, TypeError) as e:
+    except _BAD_INPUT as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     report["manifest"] = manifest

@@ -28,11 +28,11 @@ import numpy as np
 from . import linalg
 from .linmap import is_quotient_map, linear_map
 from .scalar import ONE, Q, ZERO, rationalize, sqrt_bracket, to_float
-from .simplex import OPTIMAL, LinearProgram
-from .space import (NormedSpace, ball_extreme_points, dual_space,
-                    hpoly_space, norm_eval, norm_eval_sq, vpoly_space)
-from .systems import (CompatibleVector, InverseSystem, SubspaceGenerator,
-                      invlim_convergence, linf_drop_system, project)
+from .space import (NormedSpace, ball_extreme_points, ball_form, dual_space,
+                    hpoly_space, min_norm_lp, norm_eval, norm_eval_sq,
+                    vpoly_space)
+from .systems import (InverseSystem, SubspaceGenerator, invlim_convergence,
+                      linf_drop_system, project)
 
 
 # ---------------------------------------------------------------------------
@@ -353,54 +353,20 @@ def parameter_space(gen: SubspaceGenerator, stage: int) -> NormedSpace:
 def _min_on_cube_sphere(space: NormedSpace):
     """Exact minimum of the norm over the l-inf unit sphere via one LP
     per cube face (x_face = 1 suffices by symmetry)."""
-    spec = space.spec
+    if ball_form(space.spec) is None:
+        raise ValueError("no exact face minimum for this norm kind")
     d = space.dim
+    eye = linalg.identity(d)
     best = None
     for face in range(d):
-        lp = LinearProgram()
-        xs = [lp.var(free=True) for _ in range(d)]
-        for k, h in enumerate(xs):
-            if k == face:
-                lp.add_eq({h: ONE}, ONE)
-            else:
-                lp.add_le({h: ONE}, ONE)
-                lp.add_ge({h: ONE}, -ONE)
-        if spec.kind == "hpoly":
-            t = lp.var()
-            for phi in spec.functionals:
-                for sgn in (ONE, -ONE):
-                    coeffs = {xs[k]: -sgn * c for k, c in enumerate(phi)}
-                    coeffs[t] = coeffs.get(t, ZERO) + ONE
-                    lp.add_ge(coeffs, ZERO)
-            lp.minimize({t: ONE})
-        elif spec.kind == "vpoly":
-            lams = [(lp.var(), lp.var()) for _ in spec.vertices]
-            for c in range(d):
-                coeffs = {xs[c]: -ONE}
-                for (lp_pos, lp_neg), v in zip(lams, spec.vertices):
-                    coeffs[lp_pos] = coeffs.get(lp_pos, ZERO) + v[c]
-                    coeffs[lp_neg] = coeffs.get(lp_neg, ZERO) - v[c]
-                lp.add_eq(coeffs, ZERO)
-            lp.minimize({h: ONE for pair in lams for h in pair})
-        elif spec.kind == "lp" and spec.p == "1":
-            us = [lp.var() for _ in range(d)]
-            for k, (u, w) in enumerate(zip(us, spec.weights)):
-                lp.add_ge({u: ONE, xs[k]: -w}, ZERO)
-                lp.add_ge({u: ONE, xs[k]: w}, ZERO)
-            lp.minimize({u: ONE for u in us})
-        elif spec.kind == "lp" and spec.p == "inf":
-            t = lp.var()
-            for k, w in enumerate(spec.weights):
-                lp.add_ge({t: ONE, xs[k]: -w}, ZERO)
-                lp.add_ge({t: ONE, xs[k]: w}, ZERO)
-            lp.minimize({t: ONE})
-        else:
-            raise ValueError("no exact face minimum for this norm kind")
-        status, _, value = lp.solve()
-        if status != OPTIMAL:
+        box = [r for k in range(d) if k != face
+               for r in (eye[k], linalg.vec_scale(-1, eye[k]))]
+        res = min_norm_lp(space.spec, (eye[face],), (ONE,), box,
+                          (ONE,) * len(box))
+        if res is None:
             raise ValueError("face minimization LP failed")
-        if best is None or value < best:
-            best = value
+        if best is None or res[0] < best:
+            best = res[0]
     return best
 
 

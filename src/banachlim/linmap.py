@@ -15,19 +15,17 @@ otherwise.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import linalg
 from .scalar import Q, ZERO, ONE, format_scalar, parse_scalar, sqrt_bracket, to_float
-from .simplex import LinearProgram, OPTIMAL
 from .space import (LpNorm, NormSpecError, NormedSpace, _canonical_sign,
-                    _halfspace_vertices, ball_extreme_points, dual_space,
-                    norm_eval, norm_eval_sq, vertex_enum_dim_cap)
+                    _halfspace_vertices, ball_extreme_points, ball_form,
+                    dual_space, min_norm_lp, norm_eval, norm_eval_sq,
+                    vertex_enum_dim_cap)
 
 EXACT = "exact"
 SAMPLED_BOUND = "sampled-bound"
-BRACKET = "bracket"
 
 
 class RangeError(ValueError):
@@ -76,11 +74,6 @@ class OpNormResult:
     value_sq: object = None    # exact square when the value is an l2 norm
 
 
-def _is_polytopal(space: NormedSpace) -> bool:
-    spec = space.spec
-    return not (isinstance(spec, LpNorm) and spec.p == "2")
-
-
 def _is_l2(space: NormedSpace) -> bool:
     return isinstance(space.spec, LpNorm) and space.spec.p == "2"
 
@@ -109,26 +102,42 @@ def _opnorm_over_vertices(T: LinearMap, vertices):
     return OpNormResult(best, best, best, EXACT, witness, best * best)
 
 
-def _opnorm_l2_l2(T: LinearMap, gap=Q(1, 10**10)):
-    """Largest singular value of the weighted matrix, certified bracket.
-
-    Power-iterates in floats, then certifies with an exact Rayleigh quotient
-    (lower bound) and exact residual bound (upper bound) on B^T B.
-    """
+def _weighted_gram(T: LinearMap):
+    """B^T B for B = diag(wt) A diag(1/ws), the matrix with the same norm
+    in unweighted l2 (T between weighted l2 spaces)."""
     ws = T.source.spec.weights
     wt = T.target.spec.weights
-    # B = diag(wt) A diag(1/ws) has the same norm in unweighted l2.
     B = tuple(tuple(wt[i] * T.matrix[i][j] / ws[j]
                     for j in range(T.source.dim))
               for i in range(T.target.dim))
-    S = linalg.mat_mul(linalg.transpose(B), B)
+    return linalg.mat_mul(linalg.transpose(B), B)
+
+
+def _gram_at_most(S, s):
+    """Exact check s I - S >= 0, i.e. every eigenvalue of S is <= s."""
+    return linalg.is_psd(tuple(
+        tuple((s if i == j else ZERO) - S[i][j] for j in range(len(S)))
+        for i in range(len(S))))
+
+
+def _opnorm_l2_l2(T: LinearMap, gap=Q(1, 10**10)):
+    """Largest singular value of the weighted matrix, certified bracket.
+
+    Power-iterates in floats on S = B^T B.  The lower end is an exact
+    Rayleigh quotient.  The residual bound only locates some eigenvalue of
+    S, which need not be the largest when the start vector misses the top
+    singular vector, so the upper end is proved with the exact check
+    hi^2 I - S >= 0.  Where that check fails, it also proves the norm
+    exceeds hi, and the bracket is found again by bisection on the check.
+    """
+    S = _weighted_gram(T)
     n = T.source.dim
     import numpy as np
     Sf = np.array([[to_float(v) for v in row] for row in S], dtype=float)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(n)
     lam_lo = ZERO
-    lam_hi = sum((abs(v) for row in S for v in row), ZERO) + ONE
+    lam_cap = lam_hi = sum((abs(v) for row in S for v in row), ZERO) + ONE
     witness = None
     for _ in range(300):
         y = Sf @ x
@@ -155,48 +164,26 @@ def _opnorm_l2_l2(T: LinearMap, gap=Q(1, 10**10)):
             break
     lo_s = sqrt_bracket(max(lam_lo, ZERO))[0]
     hi_s = sqrt_bracket(lam_hi)[1]
+    if not _gram_at_most(S, hi_s * hi_s):
+        lo_s, hi_s = hi_s, sqrt_bracket(lam_cap)[1]
+        while hi_s - lo_s >= gap:
+            mid = (lo_s + hi_s) / 2
+            if _gram_at_most(S, mid * mid):
+                hi_s = mid
+            else:
+                lo_s = mid
     return OpNormResult((lo_s + hi_s) / 2, lo_s, hi_s, SAMPLED_BOUND,
                         witness, None)
 
 
-def _opnorm_bracket(T: LinearMap, samples=200, seed=0):
-    """Mixed l2/polytope case: sampled lower bound, coordinate upper bound."""
-    rng = random.Random(seed)
-    n = T.source.dim
-    dual_src = dual_space(T.source)
-    # Upper: |(Tx)_i| <= ||row_i||_{source*}; then ||Tx|| <= sum b_i ||e_i||.
-    upper = ZERO
-    for i, row in enumerate(T.matrix):
-        bi = norm_eval(dual_src, row)
-        ei = tuple(ONE if j == i else ZERO for j in range(T.target.dim))
-        upper += bi * norm_eval(T.target, ei)
-    lower = ZERO
-    witness = None
-    cand = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
-    for _ in range(samples):
-        cand.append(tuple(Q(rng.randint(-8, 8)) for _ in range(n)))
-    for x in cand:
-        nx = norm_eval(T.source, x)
-        if nx == 0:
-            continue
-        r = norm_eval(T.target, T(x)) / nx
-        if r > lower:
-            lower, witness = r, x
-    return OpNormResult((lower + upper) / 2, lower, upper, BRACKET, witness)
-
-
 def _ext_cost(space: NormedSpace):
-    """Rough extreme-point count used to pick the cheaper exact side."""
-    spec = space.spec
-    if isinstance(spec, LpNorm):
-        if spec.p == "1":
-            return 2 * space.dim
-        if spec.p == "inf":
-            return 2 ** space.dim
+    """Rough extreme-point count used to pick the cheaper exact side
+    (2^dim is the H-polytope worst case)."""
+    form = ball_form(space.spec)
+    if form is None:
         return None
-    if spec.kind == "vpoly":
-        return 2 * len(spec.vertices)
-    return 2 ** space.dim  # hpoly worst case
+    kind, B = form
+    return 2 * len(B) if kind == "gens" else 2 ** space.dim
 
 
 def _attaining_input(source: NormedSpace, phi):
@@ -220,11 +207,13 @@ def operator_norm(T: LinearMap) -> OpNormResult:
     """Exact when either the source ball or the target dual ball is
     polytopal (||T|| = max ||T x|| over source vertices = max ||T* psi||
     over target dual vertices); certified bracket for pure l2 -> l2."""
+    if _is_l2(T.source) and _is_l2(T.target):
+        return _opnorm_l2_l2(T)
     routes = []
     cs = _ext_cost(T.source)
     if cs is not None:
         routes.append((cs, "primal"))
-    ct = _ext_cost(dual_space(T.target)) if _is_polytopal(T.target) else None
+    ct = _ext_cost(dual_space(T.target))
     if ct is not None:
         routes.append((ct, "dual"))
     routes.sort()
@@ -242,33 +231,15 @@ def operator_norm(T: LinearMap) -> OpNormResult:
                                 res.value_sq)
         except NormSpecError as e:   # enumeration cap; try the other side
             err = e
-    if _is_l2(T.source) and _is_l2(T.target):
-        return _opnorm_l2_l2(T)
-    if err is not None:
-        raise err
-    return _opnorm_bracket(T)
+    raise err
 
 
-def is_one_lipschitz(T: LinearMap):
-    """Exact ||T|| <= 1 verdict where available (polytopal routes and pure
-    l2 -> l2 via an exact PSD check); None if only a straddling bracket."""
+def is_one_lipschitz(T: LinearMap) -> bool:
+    """Exact ||T|| <= 1 verdict (polytopal routes, and pure l2 -> l2 via an
+    exact PSD check)."""
     if _is_l2(T.source) and _is_l2(T.target):
-        ws, wt = T.source.spec.weights, T.target.spec.weights
-        B = tuple(tuple(wt[i] * T.matrix[i][j] / ws[j]
-                        for j in range(T.source.dim))
-                  for i in range(T.target.dim))
-        G = linalg.mat_mul(linalg.transpose(B), B)
-        S = tuple(tuple((ONE if i == j else ZERO) - G[i][j]
-                        for j in range(len(G))) for i in range(len(G)))
-        return linalg.is_psd(S)
-    res = operator_norm(T)
-    if res.certificate_kind == EXACT:
-        return res.value_sq <= 1
-    if res.upper <= 1:
-        return True
-    if res.lower > 1:
-        return False
-    return None
+        return _gram_at_most(_weighted_gram(T), ONE)
+    return operator_norm(T).value_sq <= 1
 
 
 def in_range(T: LinearMap, v) -> bool:
@@ -310,55 +281,11 @@ def min_norm_preimage(T: LinearMap, v):
         z = linalg.mat_vec(linalg.transpose(Mr), y)
         u = tuple(z[j] / spec.weights[j] for j in range(n))
         return u, norm_eval(T.source, u)
-    lp = LinearProgram()
-    us = [lp.var(free=True) for _ in range(n)]
-    t = lp.var()
-    for i in range(T.target.dim):
-        lp.add_eq({us[j]: T.matrix[i][j] for j in range(n)}, v[i])
-    if isinstance(spec, LpNorm) and spec.p == "1":
-        # ||u||_1,w as sum of epigraph coordinates s_j >= w_j |u_j|.
-        ss = [lp.var() for _ in range(n)]
-        for j in range(n):
-            lp.add_le({us[j]: spec.weights[j], ss[j]: -ONE}, ZERO)
-            lp.add_le({us[j]: -spec.weights[j], ss[j]: -ONE}, ZERO)
-        lp.add_eq({t: ONE, **{s: -ONE for s in ss}}, ZERO)
-    elif isinstance(spec, LpNorm) and spec.p == "inf":
-        for j in range(n):
-            lp.add_le({us[j]: spec.weights[j], t: -ONE}, ZERO)
-            lp.add_le({us[j]: -spec.weights[j], t: -ONE}, ZERO)
-    elif spec.kind == "hpoly":
-        for f in spec.functionals:
-            lp.add_le({us[j]: f[j] for j in range(n) if f[j] != 0}
-                      | {t: -ONE}, ZERO)
-            lp.add_le({us[j]: -f[j] for j in range(n) if f[j] != 0}
-                      | {t: -ONE}, ZERO)
-    elif spec.kind == "vpoly":
-        # u = sum (l+ - l-) v_j, norm = total mass.
-        lp2 = LinearProgram()
-        m = len(spec.vertices)
-        lpos = [lp2.var() for _ in range(m)]
-        lneg = [lp2.var() for _ in range(m)]
-        TV = linalg.mat_mul(T.matrix, linalg.transpose(spec.vertices))
-        for i in range(T.target.dim):
-            coeffs = {}
-            for j in range(m):
-                coeffs[lpos[j]] = TV[i][j]
-                coeffs[lneg[j]] = -TV[i][j]
-            lp2.add_eq(coeffs, v[i])
-        lp2.minimize({h: ONE for h in lpos + lneg})
-        status, vals, value = lp2.solve()
-        if status != OPTIMAL:
-            raise RangeError("preimage LP infeasible")
-        u = tuple(sum((vals[lpos[j]] - vals[lneg[j]]) * spec.vertices[j][k]
-                      for j in range(m)) for k in range(n))
-        return u, value
-    else:
-        raise NormSpecError(f"min_norm_preimage unsupported for {spec.kind}")
-    lp.minimize({t: ONE})
-    status, vals, value = lp.solve()
-    if status != OPTIMAL:
+    res = min_norm_lp(spec, T.matrix, v)
+    if res is None:
         raise RangeError("preimage LP infeasible")
-    return tuple(vals[h] for h in us), value
+    value, u = res
+    return u, value
 
 
 def quotient_norm(T: LinearMap, v):
@@ -391,11 +318,13 @@ def _image_gauge(T: LinearMap):
 
 
 def is_quotient_map(T: LinearMap) -> MapVerdict:
-    """Surjective, 1-Lipschitz, and min preimage norm = 1 on every target
-    ball extreme point (sufficient by convexity of the quotient norm).  The
-    min preimage norm is the gauge of the image of the source ball, read
-    off its facets when they can be enumerated, else an exact LP."""
-    if not _is_polytopal(T.target):
+    """Surjective, 1-Lipschitz, and min preimage norm <= 1 on every listed
+    target ball extreme point (sufficient by convexity of the quotient
+    norm; a listed point that is not extreme has norm < 1 and is covered
+    too).  The min preimage norm is the gauge of the image of the source
+    ball, read off its facets when they can be enumerated, else an exact
+    LP."""
+    if _is_l2(T.target):
         raise NormSpecError("quotient verdict needs a polytopal target ball")
     if not is_surjective(T):
         return MapVerdict(False, reason="not surjective")
@@ -408,12 +337,12 @@ def is_quotient_map(T: LinearMap) -> MapVerdict:
     gauge = _image_gauge(T)
     for v in ball_extreme_points(T.target):
         if gauge is not None:
-            ok = gauge(v) == 1
+            ok = gauge(v) <= 1
         elif _is_l2(T.source):
             u, _ = min_norm_preimage(T, v)
-            ok = norm_eval_sq(T.source, u) == 1
+            ok = norm_eval_sq(T.source, u) <= 1
         else:
-            ok = min_norm_preimage(T, v)[1] == 1
+            ok = min_norm_preimage(T, v)[1] <= 1
         if not ok:
             return MapVerdict(False, witness=v,
                               reason="min preimage norm != target norm")
@@ -429,14 +358,9 @@ def is_isometric_embedding(T: LinearMap) -> MapVerdict:
         return MapVerdict(False, reason="not injective")
     if _is_l2(T.source) and _is_l2(T.target):
         # Isometry iff the weighted matrix has orthonormal columns.
-        ws, wt = T.source.spec.weights, T.target.spec.weights
-        B = tuple(tuple(wt[i] * T.matrix[i][j] / ws[j]
-                        for j in range(T.source.dim))
-                  for i in range(T.target.dim))
-        gram = linalg.mat_mul(linalg.transpose(B), B)
-        ok = gram == linalg.identity(T.source.dim)
+        ok = _weighted_gram(T) == linalg.identity(T.source.dim)
         return MapVerdict(ok, reason="" if ok else "columns not orthonormal")
-    if not _is_polytopal(T.source):
+    if _is_l2(T.source):
         raise NormSpecError("isometric-embedding verdict needs a polytopal "
                             "source ball (or pure l2 -> l2)")
     res = operator_norm(T)

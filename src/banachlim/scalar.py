@@ -43,6 +43,8 @@ def parse_scalar(s):
     s = s.strip()
     if "/" in s:
         num, den = s.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Q(int(num), int(den))
     if "." in s or "e" in s or "E" in s:
         return Q(Fraction(s))

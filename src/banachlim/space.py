@@ -2,7 +2,8 @@
 
 Three norm representations: weighted lp for p in {1, 2, inf}, H-polytope
 (unit ball cut out by functionals, norm = max |phi_i(x)|) and V-polytope
-(unit ball conv(+-v_j), norm = gauge, computed by an exact LP).
+(unit ball conv(+-v_j), norm = gauge, computed by an exact LP).  Every
+exact LP that minimizes a polytopal norm is built by min_norm_lp.
 
 All polytope geometry is exact rational; the only approximate quantity is
 the l2 norm value itself (its square is exact).
@@ -12,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
-from .scalar import Q, ZERO, ONE, parse_scalar, format_scalar, sqrt_approx, to_float
+from .scalar import Q, ZERO, ONE, parse_scalar, format_scalar, sqrt_approx
 from .simplex import LinearProgram, OPTIMAL
 
 DEFAULT_DIM_CAP = 8
@@ -109,8 +110,103 @@ def validate_norm_spec(spec, dim) -> NormDiagnostics:
     return NormDiagnostics(not issues, tuple(issues))
 
 
-def validate_norm(space: NormedSpace) -> NormDiagnostics:
-    return validate_norm_spec(space.spec, space.dim)
+# ---------------------------------------------------------------------------
+# Polytopal balls and the norm-minimization LP
+
+def ball_form(spec):
+    """The unit ball of a polytopal norm in one of two forms: ("rows", R)
+    with ||x|| = max |r.x| (hpoly; linf, rows w_j e_j), or ("gens", G) with
+    ball conv(+-G) (vpoly; l1, generators e_j / w_j).  None for l2."""
+    if isinstance(spec, HPolytope):
+        return "rows", spec.functionals
+    if isinstance(spec, VPolytope):
+        return "gens", spec.vertices
+    if spec.p == "2":
+        return None
+    n = len(spec.weights)
+    if spec.p == "inf":
+        return "rows", tuple(tuple(w if j == i else ZERO for j in range(n))
+                             for i, w in enumerate(spec.weights))
+    return "gens", tuple(tuple(ONE / w if j == i else ZERO for j in range(n))
+                         for i, w in enumerate(spec.weights))
+
+
+def min_norm_lp(spec, E, e, C=(), c=()):
+    """(value, x) minimizing the polytopal norm ||x|| subject to E x = e and
+    C x <= c, as one exact LP; None when the constraints are infeasible.
+
+    Rows form: free x, the caller's rows, then t with +-r.x <= t for every
+    row r; minimize t.  Generators form: substitute x = G^T (l+ - l-) with
+    l+, l- >= 0 and minimize sum(l+ + l-)."""
+    kind, B = ball_form(spec)
+    lp = LinearProgram()
+    if kind == "rows":
+        xs = [lp.var(free=True) for _ in B[0]]
+
+        def coeffs(a):
+            return dict(zip(xs, a))
+    else:
+        lpos = [lp.var() for _ in B]
+        lneg = [lp.var() for _ in B]
+
+        def coeffs(a):
+            out = {}
+            for hp, hn, g in zip(lpos, lneg, B):
+                ag = sum((ak * gk for ak, gk in zip(a, g) if ak != 0), ZERO)
+                out[hp], out[hn] = ag, -ag
+            return out
+    for a, rhs in zip(E, e):
+        lp.add_eq(coeffs(a), rhs)
+    for a, rhs in zip(C, c):
+        lp.add_le(coeffs(a), rhs)
+    if kind == "rows":
+        t = lp.var()
+        for r in B:
+            for sgn in (ONE, -ONE):
+                lp.add_le({**{h: sgn * v for h, v in zip(xs, r)}, t: -ONE},
+                          ZERO)
+        lp.minimize({t: ONE})
+    else:
+        lp.minimize({h: ONE for h in lpos + lneg})
+    status, vals, value = lp.solve()
+    if status != OPTIMAL:
+        return None
+    if kind == "rows":
+        return value, tuple(vals[h] for h in xs)
+    x = (ZERO,) * len(B[0])
+    for hp, hn, g in zip(lpos, lneg, B):
+        lam = vals[hp] - vals[hn]
+        if lam:
+            x = tuple(xk + lam * gk for xk, gk in zip(x, g))
+    return value, x
+
+
+def _irredundant(vectors, dim):
+    """Canonical irredundant subset: drop each v_i inside conv(+- others)
+    while the others span.  The same test drops redundant H-rows: by LP
+    duality, max phi_i.x over {x : |g.x| <= 1 for the others g} is the
+    gauge of conv(+- others) at phi_i."""
+    kept = sorted({_canonical_sign(linalg.vec(v)) for v in vectors},
+                  key=_sort_key)
+    eye = linalg.identity(dim)
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1:]
+        if linalg.rank(others) == dim and \
+                min_norm_lp(VPolytope(others), eye, kept[i])[0] <= 1:
+            kept.pop(i)
+        else:
+            i += 1
+    return tuple(kept)
+
+
+def _polytope_space(kind, vectors, label):
+    vecs = tuple(linalg.vec(v) for v in vectors)
+    dim = len(vecs[0]) if vecs else 0
+    diag = validate_norm_spec(kind(vecs), dim)
+    if not diag.passed:
+        raise NormSpecError("; ".join(diag.issues))
+    return NormedSpace(dim, kind(_irredundant(vecs, dim)), label)
 
 
 # ---------------------------------------------------------------------------
@@ -125,91 +221,16 @@ def lp_space(p, dim=None, weights=None, label="") -> NormedSpace:
     return NormedSpace(dim, LpNorm(p, weights), label)
 
 
-def _hpoly_irredundant(functionals, dim):
-    """Drop functionals phi_i whose constraint |phi_i x| <= 1 is implied."""
-    funcs = sorted({_canonical_sign(linalg.vec(f)) for f in functionals},
-                   key=_sort_key)
-    kept = list(funcs)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        if linalg.rank(others) < dim:
-            i += 1
-            continue
-        # max phi_i(x) over the ball of the others; redundant iff <= 1.
-        lp = LinearProgram()
-        xs = [lp.var(free=True) for _ in range(dim)]
-        for g in others:
-            lp.add_le({x: gv for x, gv in zip(xs, g)}, ONE)
-            lp.add_le({x: -gv for x, gv in zip(xs, g)}, ONE)
-        lp.minimize({x: -fv for x, fv in zip(xs, kept[i])})
-        status, _, value = lp.solve()
-        if status == OPTIMAL and -value <= 1:
-            kept.pop(i)
-        else:
-            i += 1
-    return tuple(kept)
-
-
-def _vpoly_irredundant(vertices, dim):
-    """Drop vertices inside conv(+- others)."""
-    verts = sorted({_canonical_sign(linalg.vec(v)) for v in vertices},
-                   key=_sort_key)
-    kept = list(verts)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        if linalg.rank(others) < dim:
-            i += 1
-            continue
-        val = _gauge_lp(others, kept[i])
-        if val is not None and val <= 1:
-            kept.pop(i)
-        else:
-            i += 1
-    return tuple(kept)
-
-
 def hpoly_space(functionals, label="") -> NormedSpace:
-    funcs = tuple(linalg.vec(f) for f in functionals)
-    dim = len(funcs[0]) if funcs else 0
-    diag = validate_norm_spec(HPolytope(funcs), dim)
-    if not diag.passed:
-        raise NormSpecError("; ".join(diag.issues))
-    return NormedSpace(dim, HPolytope(_hpoly_irredundant(funcs, dim)), label)
+    return _polytope_space(HPolytope, functionals, label)
 
 
 def vpoly_space(vertices, label="") -> NormedSpace:
-    verts = tuple(linalg.vec(v) for v in vertices)
-    dim = len(verts[0]) if verts else 0
-    diag = validate_norm_spec(VPolytope(verts), dim)
-    if not diag.passed:
-        raise NormSpecError("; ".join(diag.issues))
-    return NormedSpace(dim, VPolytope(_vpoly_irredundant(verts, dim)), label)
+    return _polytope_space(VPolytope, vertices, label)
 
 
 # ---------------------------------------------------------------------------
 # Norm evaluation
-
-def _gauge_lp(vertices, x):
-    """Gauge of conv(+-vertices) at x: min sum(l+ + l-), V(l+ - l-) = x."""
-    lp = LinearProgram()
-    n = len(vertices)
-    lpos = [lp.var() for _ in range(n)]
-    lneg = [lp.var() for _ in range(n)]
-    dim = len(x)
-    for i in range(dim):
-        coeffs = {}
-        for j, v in enumerate(vertices):
-            coeffs[lpos[j]] = v[i]
-            coeffs[lneg[j]] = -v[i]
-        lp.add_eq(coeffs, x[i])
-    lp.minimize({h: ONE for h in lpos + lneg})
-    status, _, value = lp.solve()
-    if status != OPTIMAL:
-        return None
-    return value
-
 
 def norm_eval(space: NormedSpace, x):
     """Exact norm of x (the l2 value is a high-precision rational shadow
@@ -229,11 +250,11 @@ def norm_eval(space: NormedSpace, x):
     if isinstance(spec, HPolytope):
         return max(abs(linalg.dot(f, x)) for f in spec.functionals)
     if isinstance(spec, VPolytope):
-        val = _gauge_lp(spec.vertices, x)
-        if val is None:
+        res = min_norm_lp(spec, linalg.identity(space.dim), x)
+        if res is None:
             raise NormSpecError("gauge LP infeasible: corrupted VPolytope "
                                 "(vertices do not span)")
-        return val
+        return res[0]
     raise NormSpecError(f"unknown spec {type(spec).__name__}")
 
 
@@ -245,25 +266,6 @@ def norm_eval_sq(space: NormedSpace, x):
         return sum(((w * v) ** 2 for w, v in zip(spec.weights, x)), ZERO)
     n = norm_eval(space, x)
     return n * n
-
-
-def norm_eval_float(space: NormedSpace, x) -> float:
-    """Float fast path (search/diagnostic use only)."""
-    import math
-    spec = space.spec
-    if isinstance(spec, LpNorm):
-        w = [to_float(v) for v in spec.weights]
-        terms = [wi * abs(float(v)) for wi, v in zip(w, x)]
-        if spec.p == "1":
-            return sum(terms)
-        if spec.p == "inf":
-            return max(terms) if terms else 0.0
-        return math.sqrt(sum(t * t for t in terms))
-    if isinstance(spec, HPolytope):
-        return max(abs(sum(to_float(a) * float(b) for a, b in zip(f, x)))
-                   for f in spec.functionals)
-    from .scalar import from_float
-    return to_float(norm_eval(space, [from_float(float(v)) for v in x]))
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +290,12 @@ def dual_space(space: NormedSpace) -> NormedSpace:
 # ---------------------------------------------------------------------------
 # Unit-ball extreme points
 
-def _halfspaces_of(spec, dim):
+def _halfspaces_of(spec):
     """Rows a with ball = {x : a.x <= 1 for all rows} (symmetric pairs)."""
-    if isinstance(spec, HPolytope):
-        rows = list(spec.functionals)
-    elif isinstance(spec, LpNorm) and spec.p == "inf":
-        rows = [tuple(spec.weights[i] if j == i else ZERO for j in range(dim))
-                for i in range(dim)]
-    else:
+    form = ball_form(spec)
+    if form is None or form[0] != "rows":
         raise NormSpecError("no halfspace representation")
-    return [r for f in rows for r in (f, tuple(-v for v in f))]
+    return [r for f in form[1] for r in (f, tuple(-v for v in f))]
 
 
 def _adjacent(i, j, verts, halfspaces, dim):
@@ -376,35 +374,23 @@ def ball_extreme_points(space: NormedSpace):
     """Extreme points of the unit ball (polytopal specs and p in {1, inf})."""
     spec = space.spec
     dim = space.dim
+    form = ball_form(spec)
+    if form is None:
+        raise NormSpecError("l2 ball is not a polytope; extreme points "
+                            "not enumerable")
+    if form[0] == "gens":
+        return [v for u in form[1] for v in (u, tuple(-x for x in u))]
     cap = vertex_enum_dim_cap()
+    if dim > cap:
+        raise NormSpecError(
+            f"dim {dim} exceeds vertex-enumeration cap {cap} "
+            "(set BANACH_LIMITS_CAP_DIM to raise)")
     if isinstance(spec, LpNorm):
-        if spec.p == "2":
-            raise NormSpecError("l2 ball is not a polytope; extreme points "
-                                "not enumerable")
-        if spec.p == "1":
-            pts = []
-            for i, w in enumerate(spec.weights):
-                e = [ZERO] * dim
-                e[i] = ONE / Q(w)
-                pts.append(tuple(e))
-                pts.append(tuple(-v for v in e))
-            return pts
-        if dim > cap:
-            raise NormSpecError(
-                f"dim {dim} exceeds vertex-enumeration cap {cap} "
-                "(set BANACH_LIMITS_CAP_DIM to raise)")
-        return [tuple(s / Q(w) for s, w in zip(signs, spec.weights))
+        # Closed-form linf cube, in the sign order the reports' witnesses
+        # follow.
+        return [tuple(s / w for s, w in zip(signs, spec.weights))
                 for signs in itertools.product((ONE, -ONE), repeat=dim)]
-    if isinstance(spec, VPolytope):
-        return [v for u in spec.vertices
-                for v in (u, tuple(-x for x in u))]
-    if isinstance(spec, HPolytope):
-        if dim > cap:
-            raise NormSpecError(
-                f"dim {dim} exceeds vertex-enumeration cap {cap} "
-                "(set BANACH_LIMITS_CAP_DIM to raise)")
-        return _halfspace_vertices(_halfspaces_of(spec, dim), dim)
-    raise NormSpecError(f"unknown spec {type(spec).__name__}")
+    return _halfspace_vertices(_halfspaces_of(spec), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,12 @@ direct-limit norms are upper bounds of the limit pseudo-norm.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .scalar import Q, ZERO, ONE, format_scalar, parse_scalar
-from .linmap import (LinearMap, MapVerdict, adjoint, compose,
-                     is_one_lipschitz, is_quotient_map, linear_map,
-                     min_norm_preimage, operator_norm, EXACT)
+from .linmap import (LinearMap, adjoint, is_one_lipschitz, is_quotient_map,
+                     linear_map, min_norm_preimage, operator_norm)
 from .space import (NormedSpace, ball_extreme_points, dual_space, lp_space,
                     norm_eval, space_from_json, space_to_json, vpoly_space)
 
@@ -62,12 +61,6 @@ class InverseSystem(_SystemBase):
                  is_quotient_system=False):
         super().__init__(space_fn, bond_fn, max_stage, label)
         self.is_quotient_system = is_quotient_system
-
-    def push_down(self, x, i, j):
-        """theta_j o ... o theta_{i-1} applied to x in W_i, result in W_j."""
-        for k in range(i - 1, j - 1, -1):
-            x = self.bond(k)(x)
-        return x
 
 
 @dataclass(frozen=True)
@@ -162,11 +155,6 @@ def project(cv: CompatibleVector, j: int):
     return cv.stages[j - 1]
 
 
-def cv_add(a: CompatibleVector, b: CompatibleVector) -> CompatibleVector:
-    return CompatibleVector(a.system, tuple(
-        linalg.vec_add(x, y) for x, y in zip(a.stages, b.stages)))
-
-
 def cv_sub(a: CompatibleVector, b: CompatibleVector) -> CompatibleVector:
     return CompatibleVector(a.system, tuple(
         linalg.vec_sub(x, y) for x, y in zip(a.stages, b.stages)))
@@ -192,11 +180,6 @@ def stage_norms(cv: CompatibleVector) -> StageNormReport:
     exact = cv.limit_norm is not None
     return StageNormReport(norms, norms[-1], exact,
                            cv.limit_norm if exact else None)
-
-
-def stage_norm(cv: CompatibleVector, j=None):
-    j = j if j is not None else cv.top_stage
-    return norm_eval(cv.system.stage(j), project(cv, j))
 
 
 def lift_min_norm(system: InverseSystem, w, i: int):

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from banachlim.cli import main
+from banachlim.cli import EXIT_BAD_INPUT, main
 from banachlim.systems import system_from_json, validate_standard
 
 
@@ -53,12 +56,11 @@ def test_validate_corrupted_bond_fails(tmp_path, capsys):
     assert report["verdicts"][0]["stage"] == 1
 
 
-def test_parse_error_reports_line(tmp_path):
+def test_parse_error_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "inverse",\n  broken\n}')
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", str(path)])
-    assert ":2:" in str(exc.value)
+    assert main(["validate", str(path)]) == 3
+    assert ":2:" in capsys.readouterr().err
 
 
 def test_dualize_roundtrip(tmp_path, capsys):
@@ -263,3 +265,81 @@ def test_bad_job_exits_three(tmp_path, capsys):
     job = _write(tmp_path, "bad.json", {"nonsense": True})
     assert main(["determine", job]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("validate", None),                                 # unreadable file
+    ("validate", '{"builtin": "l1_drop",'),             # malformed JSON
+    ("opnorm", json.dumps(dict(_SQUARE_MAP,
+                               matrix=[["1/0", "1"], ["1", "-1"]]))),
+    ("determine", json.dumps([{"canonical": "prefix_obstruction"}])),
+    ("quotient-check", json.dumps(dict(_SQUARE_MAP, target=[1, 2]))),
+], ids=["unreadable", "malformed-json", "zero-denominator", "top-level-list",
+        "list-as-space"])
+def test_bad_inputs_exit_three(tmp_path, capsys, command, text):
+    path = tmp_path / "job.json"
+    if text is not None:
+        path.write_text(text)
+    assert main([command, str(path)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+# Cheap jobs to mutate; every value a mutation can put in keeps the work
+# small (no large stage counts or dimensions).
+_CHEAP_JOBS = [
+    ("opnorm", _SQUARE_MAP),
+    ("quotient-check", _SQUARE_MAP),
+    ("validate", {"builtin": "l1_drop", "stages": 3}),
+    ("norms", {"system": {"builtin": "linf_drop", "stages": 2},
+               "vectors": [["1", "1/2"]]}),
+    ("determine", {"canonical": "prefix_obstruction", "n": 2,
+                   "mode": "search", "search": {"starts": 1, "iters": 3}}),
+]
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4)
+    | st.sampled_from([0.5, float("inf"), "", "x", "1/0", "1/2", "-2"]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "p", "dim", "spec", "weights", "x"]),
+        kids, max_size=3),
+    max_leaves=6)
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return copy
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_malformed_jobs_never_escape_the_exit_codes(tmp_path_factory, data):
+    command, job = data.draw(st.sampled_from(_CHEAP_JOBS))
+    path = data.draw(st.sampled_from(list(_paths(job))))
+    text = json.dumps(_replaced(job, path, data.draw(_json_values)))
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    job_path = tmp_path_factory.mktemp("job") / "job.json"
+    job_path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(job_path)])
+    if code == EXIT_BAD_INPUT:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        assert code in (0, 1, 2)
+        assert json.loads(out.getvalue())["manifest"]["command"] == command

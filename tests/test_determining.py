@@ -4,7 +4,8 @@ import pytest
 
 from banachlim import linalg
 from banachlim.scalar import Q, ZERO, ONE
-from banachlim.space import norm_eval
+from banachlim.space import (ball_extreme_points, hpoly_space, lp_space,
+                             norm_eval, vpoly_space)
 from banachlim.systems import (SubspaceGenerator, compatible_from_tail,
                                generator_from_tail, l1_drop_system,
                                linf_drop_system, project)
@@ -15,6 +16,9 @@ from banachlim.determining import (CertifyConfig, DeterminingQuery,
                                    equivalence_witness, gfda_check,
                                    parameter_space, prefix_obstruction_query,
                                    rescaled_image_presentation, verify_pair)
+from banachlim.determining import _min_on_cube_sphere
+
+from oracles import random_spanning_vectors
 
 HALF = Q(1, 2)
 
@@ -379,3 +383,18 @@ def test_rescaled_presentation_top_norm_unchanged():
     for _ in range(20):
         a = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
         assert norm_eval(dom, a) == norm_eval(rdom, a)
+
+
+def test_min_on_cube_sphere_matches_extreme_point_oracle():
+    # min ||x|| over the l-inf unit sphere is 1 / max ||e||_inf over the
+    # extreme points e of the unit ball.
+    rng = random.Random(101)
+    for _ in range(3):
+        d = rng.choice([2, 3])
+        w = [Q(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(d)]
+        vecs = random_spanning_vectors(rng, d, d + 2)
+        for space in (lp_space(1, weights=w), lp_space("inf", weights=w),
+                      hpoly_space(vecs), vpoly_space(vecs)):
+            top = max(max(abs(c) for c in e)
+                      for e in ball_extreme_points(space))
+            assert _min_on_cube_sphere(space) == 1 / top

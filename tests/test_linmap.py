@@ -3,14 +3,14 @@ import random
 import pytest
 
 from banachlim import linalg, linmap
-from banachlim.scalar import Q, ZERO, ONE, to_float
+from banachlim.scalar import Q, ZERO, ONE, from_float, to_float
 from banachlim.linmap import (EXACT, SAMPLED_BOUND, LinearMap, RangeError,
                               adjoint, compose, is_isometric_embedding,
                               is_one_lipschitz, is_quotient_map, linear_map,
                               map_from_json, map_to_json, min_norm_preimage,
                               operator_norm, quotient_norm)
-from banachlim.space import (ball_extreme_points, hpoly_space, lp_space,
-                             norm_eval, vpoly_space)
+from banachlim.space import (NormedSpace, VPolytope, ball_extreme_points,
+                             hpoly_space, lp_space, norm_eval, vpoly_space)
 
 from oracles import (hull_contains, random_rational_vector,
                      random_spanning_vectors)
@@ -334,3 +334,67 @@ def test_map_json_roundtrip():
     blob = map_to_json(T)
     T2 = map_from_json(blob, {"a": S, "b": W})
     assert T2 == T
+
+
+def test_listed_non_extreme_target_point_is_covered(monkeypatch):
+    # A V-polytope read as given may list a point inside its ball: the
+    # identity from l1 onto conv(+-e1, +-e2, +-(1/4, 1/4)) is still a
+    # quotient map (the ball is the l1 ball).
+    T = LinearMap(lp_space(1, 2),
+                  NormedSpace(2, VPolytope(((ONE, ZERO), (ZERO, ONE),
+                                            (Q(1, 4), Q(1, 4))))),
+                  linalg.identity(2))
+    # The l2 route: l2^1 onto the interval listing the inner point 1/2.
+    L = LinearMap(lp_space(2, 1), NormedSpace(1, VPolytope(((ONE,),
+                                                            (Q(1, 2),)))),
+                  ((ONE,),))
+    assert linmap._image_gauge(T) is not None
+    assert linmap._image_gauge(L) is None
+    assert is_quotient_map(T) == is_quotient_map(L) == linmap.MapVerdict(True)
+    monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "1")
+    assert linmap._image_gauge(T) is None
+    assert is_quotient_map(T).verdict
+    # A point outside the image of the ball still fails, with its reason.
+    U = LinearMap(T.source, NormedSpace(2, VPolytope(((ONE, ZERO), (ZERO, ONE),
+                                                      (ONE, ONE)))), T.matrix)
+    for cap in ("1", "8"):
+        monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", cap)
+        qv = is_quotient_map(U)
+        assert not qv.verdict and qv.witness == (ONE, ONE)
+        assert qv.reason == "min preimage norm != target norm"
+
+
+def test_l2_bracket_when_start_vector_misses_top_singular_vector():
+    # B has orthogonal rows 2(-q, p) and (p, q), so its norm is 2|(p, q)|;
+    # (p, q) is the power iteration's start vector and a right singular
+    # vector for |(p, q)|, so the iteration never leaves it.
+    import numpy as np
+    p, q = (from_float(float(v))
+            for v in np.random.default_rng(0).standard_normal(2))
+    E = lp_space(2, 2)
+    res = operator_norm(linear_map(E, E, [[-2 * q, 2 * p], [p, q]]))
+    assert res.certificate_kind == SAMPLED_BOUND
+    norm_sq = 4 * (p * p + q * q)
+    assert res.lower ** 2 <= norm_sq <= res.upper ** 2
+    assert res.upper - res.lower < Q(1, 10**9)
+
+
+def test_min_norm_preimage_l1_equals_its_vpoly():
+    rng = random.Random(97)
+    for _ in range(6):
+        n, m = rng.choice([(2, 1), (3, 2), (4, 2)])
+        w = [Q(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(n)]
+        src = lp_space(1, weights=w)
+        as_vpoly = vpoly_space([[ONE / w[i] if j == i else ZERO
+                                 for j in range(n)] for i in range(n)])
+        while True:
+            rows = [[Q(rng.randint(-3, 3)) for _ in range(n)]
+                    for _ in range(m)]
+            if linalg.rank(rows) == m:
+                break
+        v = random_rational_vector(rng, m)
+        u, val = min_norm_preimage(linear_map(src, lp_space(1, m), rows), v)
+        _, val_v = min_norm_preimage(
+            linear_map(as_vpoly, lp_space(1, m), rows), v)
+        assert val == val_v == norm_eval(src, u)
+        assert linalg.mat_vec(linalg.mat(rows), u) == v

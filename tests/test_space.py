@@ -2,14 +2,16 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from banachlim import linalg
+from banachlim.determining import _float_norm_fn
 from banachlim.scalar import Q, ZERO, ONE, to_float
 from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              NormSpecError, VPolytope, ball_extreme_points,
                              dual_space, hpoly_space, lp_space, norm_eval,
-                             norm_eval_float, space_from_json, space_to_json,
+                             space_from_json, space_to_json,
                              validate_norm_spec, vpoly_space)
 
 from oracles import (gauge_by_ray_bisection, random_spanning_vectors,
@@ -188,7 +190,23 @@ def test_json_round_trip():
 
 def test_float_shadow_close():
     rng = random.Random(3)
-    S = hpoly_space(random_spanning_vectors(rng, 3, 5))
     x = (1.5, -2.25, 0.75)
     xf = tuple(Q(3, 2) * s for s in (ONE, Q(-3, 2), Q(1, 2)))
-    assert abs(norm_eval_float(S, x) - to_float(norm_eval(S, xf))) < 1e-12
+    w = [Q(1), Q(1, 2), Q(3)]
+    for S in (hpoly_space(random_spanning_vectors(rng, 3, 5)),
+              vpoly_space(random_spanning_vectors(rng, 3, 5)),
+              lp_space(1, weights=w), lp_space("inf", weights=w),
+              lp_space(2, weights=w)):
+        assert abs(_float_norm_fn(S)(np.array(x))
+                   - to_float(norm_eval(S, xf))) < 1e-12
+
+
+def test_hpoly_and_vpoly_keep_the_same_vectors():
+    # phi is redundant among H-rows exactly when it lies in conv(+- the
+    # others), the V-polytope test, so both constructors keep one set.
+    rng = random.Random(5)
+    for _ in range(12):
+        d = rng.choice([2, 3])
+        vs = random_spanning_vectors(rng, d, rng.randint(d, d + 4))
+        assert hpoly_space(vs).spec.functionals == \
+            vpoly_space(vs).spec.vertices
