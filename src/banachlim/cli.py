@@ -9,7 +9,7 @@ curve experiments.
 
 Exit codes: `validate` and the map checks return 0 (pass) / 1 (fail);
 `determine` returns 0 / 1 / 2 for certificate / counterexample /
-undecided; malformed inputs exit with 3.
+undecided; malformed inputs and an unwritable --out exit with 3.
 """
 
 import argparse
@@ -69,14 +69,17 @@ def _emit(report, out_path):
 
 def _write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e}") from e
 
 
 def _load_job(path):
@@ -429,11 +432,11 @@ def main(argv=None):
     try:
         job = _load_job(args.input)
         report, code = HANDLERS[args.command](args, job)
+        report["manifest"] = manifest
+        _emit(report, args.out)
     except _BAD_INPUT as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    report["manifest"] = manifest
-    _emit(report, args.out)
     return code
 
 

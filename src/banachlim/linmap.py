@@ -3,14 +3,13 @@
 Operator norms are exact whenever one side of the duality is polytopal:
 either the source ball's extreme points are enumerable (max of the target
 norm over them) or the target dual ball's are (max of the source dual norm
-of the pullback).  The pure l2 -> l2 case uses certified power iteration;
-anything else gets an honest (lower, upper) bracket.
+of the pullback).  The pure l2 -> l2 case gets a certified bracket; when
+neither side can be enumerated, NormSpecError is raised.
 
-Quotient and isometric-embedding verdicts are exact equality-of-norms
-claims, checked at ball extreme points through the gauge of the image of a
-unit ball (the minimal preimage norm): a maximum over the image's facet
-normals where those can be enumerated, an exact LP per extreme point
-otherwise.
+T is an isometric embedding exactly when T* is a quotient map, so both
+verdicts are one exact check: ||T|| <= 1 and a map (T, or T*) covers its
+target ball, read at that ball's extreme points off the minimal preimage
+norm.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .scalar import Q, ZERO, ONE, format_scalar, parse_scalar, sqrt_bracket, to_float
+from .scalar import (Q, ZERO, ONE, format_scalar, from_float, parse_scalar,
+                     sqrt_bracket, to_float)
 from .space import (LpNorm, NormSpecError, NormedSpace, _canonical_sign,
                     _halfspace_vertices, ball_extreme_points, ball_form,
                     dual_space, min_norm_lp, norm_eval, norm_eval_sq,
@@ -120,60 +120,36 @@ def _gram_at_most(S, s):
         for i in range(len(S))))
 
 
-def _opnorm_l2_l2(T: LinearMap, gap=Q(1, 10**10)):
+_L2_GAP = Q(1, 10**10)
+
+
+def _opnorm_l2_l2(T: LinearMap):
     """Largest singular value of the weighted matrix, certified bracket.
 
-    Power-iterates in floats on S = B^T B.  The lower end is an exact
-    Rayleigh quotient.  The residual bound only locates some eigenvalue of
-    S, which need not be the largest when the start vector misses the top
-    singular vector, so the upper end is proved with the exact check
-    hi^2 I - S >= 0.  Where that check fails, it also proves the norm
-    exceeds hi, and the bracket is found again by bisection on the check.
-    """
+    The lower end is the exact Rayleigh quotient of S = B^T B at its float
+    top eigenvector z (the witness is W^-1 z); hi = lo + _L2_GAP/2 is proved
+    by the exact check hi^2 I - S >= 0.  Where that fails, it also proves
+    the norm exceeds hi, and the bracket is bisected on the check."""
     S = _weighted_gram(T)
-    n = T.source.dim
+    if not S:                                  # a zero-dimensional side
+        return OpNormResult(ZERO, ZERO, ZERO, SAMPLED_BOUND)
     import numpy as np
     Sf = np.array([[to_float(v) for v in row] for row in S], dtype=float)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(n)
-    lam_lo = ZERO
-    lam_cap = lam_hi = sum((abs(v) for row in S for v in row), ZERO) + ONE
-    witness = None
-    for _ in range(300):
-        y = Sf @ x
-        nrm = np.linalg.norm(y)
-        if nrm == 0:
-            break
-        x = y / nrm
-        xq = tuple(parse_scalar(format(float(v), ".17g")) for v in x)
-        xx = linalg.dot(xq, xq)
-        if xx == 0:
-            continue
-        Sx = linalg.mat_vec(S, xq)
-        rho = linalg.dot(xq, Sx) / xx                      # <= lam_max
-        resid_sq = linalg.dot(
-            linalg.vec_sub(Sx, linalg.vec_scale(rho, xq)),
-            linalg.vec_sub(Sx, linalg.vec_scale(rho, xq)))
-        _, res_hi = sqrt_bracket(resid_sq / xx)
-        if rho > lam_lo:
-            lam_lo, witness = rho, xq
-        lam_hi = min(lam_hi, rho + res_hi)                 # Weyl bound
-        lo_s = sqrt_bracket(max(lam_lo, ZERO))[0]
-        hi_s = sqrt_bracket(lam_hi)[1]
-        if hi_s - lo_s < gap:
-            break
-    lo_s = sqrt_bracket(max(lam_lo, ZERO))[0]
-    hi_s = sqrt_bracket(lam_hi)[1]
-    if not _gram_at_most(S, hi_s * hi_s):
-        lo_s, hi_s = hi_s, sqrt_bracket(lam_cap)[1]
-        while hi_s - lo_s >= gap:
-            mid = (lo_s + hi_s) / 2
+    z = tuple(from_float(float(v)) for v in np.linalg.eigh(Sf)[1][:, -1])
+    rayleigh = linalg.dot(z, linalg.mat_vec(S, z)) / linalg.dot(z, z)
+    lo = sqrt_bracket(rayleigh)[0]
+    hi = lo + _L2_GAP / 2
+    if not _gram_at_most(S, hi * hi):
+        lam_cap = sum((abs(v) for row in S for v in row), ZERO) + ONE
+        lo, hi = hi, sqrt_bracket(lam_cap)[1]
+        while hi - lo >= _L2_GAP:
+            mid = (lo + hi) / 2
             if _gram_at_most(S, mid * mid):
-                hi_s = mid
+                hi = mid
             else:
-                lo_s = mid
-    return OpNormResult((lo_s + hi_s) / 2, lo_s, hi_s, SAMPLED_BOUND,
-                        witness, None)
+                lo = mid
+    witness = tuple(zj / wj for zj, wj in zip(z, T.source.spec.weights))
+    return OpNormResult((lo + hi) / 2, lo, hi, SAMPLED_BOUND, witness, None)
 
 
 def _ext_cost(space: NormedSpace):
@@ -317,43 +293,48 @@ def _image_gauge(T: LinearMap):
     return lambda v: max(linalg.dot(f, v) for f in facets)
 
 
+def _min_preimage_norm_sq(C: LinearMap):
+    """Exact square of the minimal preimage norm under a surjective C, on
+    its target: the image gauge where its facets can be enumerated, else
+    exact squares from the l2 normal equations, else the LP."""
+    gauge = _image_gauge(C)
+    if gauge is not None:
+        return lambda v: gauge(v) ** 2
+    if _is_l2(C.source):
+        return lambda v: norm_eval_sq(C.source, min_norm_preimage(C, v)[0])
+    return lambda v: min_norm_preimage(C, v)[1] ** 2
+
+
+def _covering_verdict(T: LinearMap, C: LinearMap, reason) -> MapVerdict:
+    """||T|| <= 1, and the surjective C (T, or T*) covers its target ball:
+    every listed extreme point of it has a preimage of norm <= 1 (enough by
+    convexity; a listed point that is not extreme is covered too)."""
+    res = operator_norm(T)
+    if res.value_sq > 1:
+        return MapVerdict(False, witness=res.witness,
+                          reason="operator norm exceeds 1")
+    norm_sq = _min_preimage_norm_sq(C)
+    for v in ball_extreme_points(C.target):
+        if norm_sq(v) > 1:
+            return MapVerdict(False, witness=v, reason=reason)
+    return MapVerdict(True)
+
+
 def is_quotient_map(T: LinearMap) -> MapVerdict:
-    """Surjective, 1-Lipschitz, and min preimage norm <= 1 on every listed
-    target ball extreme point (sufficient by convexity of the quotient
-    norm; a listed point that is not extreme has norm < 1 and is covered
-    too).  The min preimage norm is the gauge of the image of the source
-    ball, read off its facets when they can be enumerated, else an exact
-    LP."""
+    """Surjective, 1-Lipschitz, and T covers the target ball: T maps the
+    source ball onto it."""
     if _is_l2(T.target):
         raise NormSpecError("quotient verdict needs a polytopal target ball")
     if not is_surjective(T):
         return MapVerdict(False, reason="not surjective")
-    res = operator_norm(T)
-    if res.certificate_kind != EXACT:
-        raise NormSpecError("quotient verdict needs an exact operator norm")
-    if res.value_sq is not None and res.value_sq > 1:
-        return MapVerdict(False, witness=res.witness,
-                          reason="operator norm exceeds 1")
-    gauge = _image_gauge(T)
-    for v in ball_extreme_points(T.target):
-        if gauge is not None:
-            ok = gauge(v) <= 1
-        elif _is_l2(T.source):
-            u, _ = min_norm_preimage(T, v)
-            ok = norm_eval_sq(T.source, u) <= 1
-        else:
-            ok = min_norm_preimage(T, v)[1] <= 1
-        if not ok:
-            return MapVerdict(False, witness=v,
-                              reason="min preimage norm != target norm")
-    return MapVerdict(True)
+    return _covering_verdict(T, T, "min preimage norm != target norm")
 
 
 def is_isometric_embedding(T: LinearMap) -> MapVerdict:
     """Injective, 1-Lipschitz, and every source dual-ball extreme point
     extends through T to a functional in the target dual ball (Hahn-Banach
-    made computational): the adjoint T* must cover the source dual ball,
-    checked as in is_quotient_map on the gauge of T*(B_{target*})."""
+    made computational): the adjoint T*, surjective since T is injective,
+    must cover the source dual ball."""
     if not is_injective(T):
         return MapVerdict(False, reason="not injective")
     if _is_l2(T.source) and _is_l2(T.target):
@@ -363,29 +344,7 @@ def is_isometric_embedding(T: LinearMap) -> MapVerdict:
     if _is_l2(T.source):
         raise NormSpecError("isometric-embedding verdict needs a polytopal "
                             "source ball (or pure l2 -> l2)")
-    res = operator_norm(T)
-    if res.certificate_kind != EXACT:
-        raise NormSpecError("isometric-embedding verdict needs an exact "
-                            "operator norm")
-    if res.value_sq is not None and res.value_sq > 1:
-        return MapVerdict(False, witness=res.witness,
-                          reason="operator norm exceeds 1")
-    Tadj = adjoint(T)
-    gauge = _image_gauge(Tadj)
-    for phi in ball_extreme_points(dual_space(T.source)):
-        # Need psi in the target dual ball with T* psi = phi.
-        if gauge is not None:
-            value = gauge(phi)
-        else:
-            try:
-                _, value = min_norm_preimage(Tadj, phi)
-            except RangeError:
-                return MapVerdict(False, witness=phi,
-                                  reason="dual functional does not extend")
-        if value > 1:
-            return MapVerdict(False, witness=phi,
-                              reason="dual extension needs norm > 1")
-    return MapVerdict(True)
+    return _covering_verdict(T, adjoint(T), "dual extension needs norm > 1")
 
 
 # ---------------------------------------------------------------------------

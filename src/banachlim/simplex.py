@@ -151,9 +151,6 @@ class LinearProgram:
         row[slack] = ONE
         self._rows.append((row, Q(rhs)))
 
-    def add_ge(self, coeffs, rhs):
-        self.add_le({h: -Q(v) for h, v in coeffs.items()}, -Q(rhs))
-
     def minimize(self, coeffs):
         self._obj = dict(coeffs)
 

@@ -298,17 +298,15 @@ def _halfspaces_of(spec):
     return [r for f in form[1] for r in (f, tuple(-v for v in f))]
 
 
-def _adjacent(i, j, verts, halfspaces, dim):
+def _adjacent(i, j, verts):
     """Adjacency on the current polytope (Fukuda's combinatorial test):
-    vertices are adjacent iff their common active set has rank d-1 and no
-    other vertex is active on all of it."""
+    vertices are adjacent iff no other vertex is active on all of their
+    common active set.  Exact because verts lists every vertex of the
+    polytope with its full active set: the face cut out by the common set
+    is an edge iff it has no third vertex."""
     common = verts[i][1] & verts[j][1]
-    if linalg.rank([halfspaces[h] for h in common]) != dim - 1:
-        return False
-    for k in range(len(verts)):
-        if k != i and k != j and common <= verts[k][1]:
-            return False
-    return True
+    return not any(common <= verts[k][1]
+                   for k in range(len(verts)) if k != i and k != j)
 
 
 def _halfspace_vertices(halfspaces, dim):
@@ -346,7 +344,7 @@ def _halfspace_vertices(halfspaces, dim):
         new_verts = []
         for i in inside:
             for j in outside:
-                if not _adjacent(i, j, verts, halfspaces, dim):
+                if not _adjacent(i, j, verts):
                     continue
                 ti, tj = vals[i], vals[j]
                 lam = (1 - ti) / (tj - ti)

@@ -17,7 +17,8 @@ from .scalar import Q, ZERO, ONE, format_scalar, parse_scalar
 from .linmap import (LinearMap, adjoint, is_one_lipschitz, is_quotient_map,
                      linear_map, min_norm_preimage, operator_norm)
 from .space import (NormedSpace, ball_extreme_points, dual_space, lp_space,
-                    norm_eval, space_from_json, space_to_json, vpoly_space)
+                    norm_eval, norm_eval_sq, space_from_json, space_to_json,
+                    vpoly_space)
 
 
 class StageError(ValueError):
@@ -184,7 +185,8 @@ def stage_norms(cv: CompatibleVector) -> StageNormReport:
 
 def lift_min_norm(system: InverseSystem, w, i: int):
     """Norm-preserving lift through theta_i (quotient bonds only): returns
-    u in W_{i+1} with theta_i(u) = w and ||u|| = ||w||."""
+    u in W_{i+1} with theta_i(u) = w and ||u|| = ||w||, checked exactly
+    (a system read from JSON may claim quotient bonds it does not have)."""
     T = system.bond(i)
     if not system.is_quotient_system:
         qv = is_quotient_map(T)
@@ -193,6 +195,9 @@ def lift_min_norm(system: InverseSystem, w, i: int):
                 f"bond {i} is not a quotient map ({qv.reason}); "
                 "norm-preserving lifts exist only in quotient systems")
     u, _ = min_norm_preimage(T, w)
+    if norm_eval_sq(T.source, u) != norm_eval_sq(T.target, w):
+        raise ValueError(f"bond {i} is not a quotient map: the minimal lift "
+                         "of w has a different norm")
     return u
 
 

@@ -267,20 +267,33 @@ def test_bad_job_exits_three(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command, text", [
-    ("validate", None),                                 # unreadable file
-    ("validate", '{"builtin": "l1_drop",'),             # malformed JSON
+_SYSTEM_JOB = json.dumps({"builtin": "l1_drop", "stages": 3})
+_CURVE_JOB = json.dumps({
+    "curve": {"system": {"builtin": "l1_drop", "stages": 5},
+              "amplitudes": [0, 0, 0, 0, 0], "frequencies": [1, 1, 1, 1, 1]},
+    "ts": [0.0, 0.5], "m_range": [2, 5]})
+_UNWRITABLE = ["--out", "{tmp}/missing/r.json"]
+
+
+@pytest.mark.parametrize("command, text, extra", [
+    ("validate", None, []),                             # unreadable file
+    ("validate", '{"builtin": "l1_drop",', []),         # malformed JSON
     ("opnorm", json.dumps(dict(_SQUARE_MAP,
-                               matrix=[["1/0", "1"], ["1", "-1"]]))),
-    ("determine", json.dumps([{"canonical": "prefix_obstruction"}])),
-    ("quotient-check", json.dumps(dict(_SQUARE_MAP, target=[1, 2]))),
+                               matrix=[["1/0", "1"], ["1", "-1"]])), []),
+    ("determine", json.dumps([{"canonical": "prefix_obstruction"}]), []),
+    ("quotient-check", json.dumps(dict(_SQUARE_MAP, target=[1, 2])), []),
+    ("validate", _SYSTEM_JOB, _UNWRITABLE),
+    ("dualize", _SYSTEM_JOB, _UNWRITABLE),
+    ("curves", _CURVE_JOB, _UNWRITABLE),
 ], ids=["unreadable", "malformed-json", "zero-denominator", "top-level-list",
-        "list-as-space"])
-def test_bad_inputs_exit_three(tmp_path, capsys, command, text):
+        "list-as-space", "unwritable-report", "unwritable-dual",
+        "unwritable-csv"])
+def test_bad_inputs_exit_three(tmp_path, capsys, command, text, extra):
     path = tmp_path / "job.json"
     if text is not None:
         path.write_text(text)
-    assert main([command, str(path)]) == EXIT_BAD_INPUT
+    argv = [command, str(path)] + [a.format(tmp=tmp_path) for a in extra]
+    assert main(argv) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -10,7 +10,8 @@ from banachlim.linmap import (EXACT, SAMPLED_BOUND, LinearMap, RangeError,
                               map_from_json, map_to_json, min_norm_preimage,
                               operator_norm, quotient_norm)
 from banachlim.space import (NormedSpace, VPolytope, ball_extreme_points,
-                             hpoly_space, lp_space, norm_eval, vpoly_space)
+                             hpoly_space, lp_space, norm_eval, norm_eval_sq,
+                             vpoly_space)
 
 from oracles import (hull_contains, random_rational_vector,
                      random_spanning_vectors)
@@ -364,19 +365,47 @@ def test_listed_non_extreme_target_point_is_covered(monkeypatch):
         assert qv.reason == "min preimage norm != target norm"
 
 
+def _assert_witness_in_bracket(T, res):
+    w = res.witness
+    ratio = norm_eval_sq(T.target, T(w)) / norm_eval_sq(T.source, w)
+    assert res.lower ** 2 <= ratio <= res.upper ** 2
+
+
 def test_l2_bracket_when_start_vector_misses_top_singular_vector():
     # B has orthogonal rows 2(-q, p) and (p, q), so its norm is 2|(p, q)|;
-    # (p, q) is the power iteration's start vector and a right singular
-    # vector for |(p, q)|, so the iteration never leaves it.
+    # (p, q) is a right singular vector for the smaller value |(p, q)|, where
+    # a power iteration started at (p, q) stays.
     import numpy as np
     p, q = (from_float(float(v))
             for v in np.random.default_rng(0).standard_normal(2))
     E = lp_space(2, 2)
-    res = operator_norm(linear_map(E, E, [[-2 * q, 2 * p], [p, q]]))
+    T = linear_map(E, E, [[-2 * q, 2 * p], [p, q]])
+    res = operator_norm(T)
     assert res.certificate_kind == SAMPLED_BOUND
     norm_sq = 4 * (p * p + q * q)
     assert res.lower ** 2 <= norm_sq <= res.upper ** 2
-    assert res.upper - res.lower < Q(1, 10**9)
+    assert res.upper - res.lower < Q(1, 10**10)
+    _assert_witness_in_bracket(T, res)
+    # Between weighted spaces the witness is a source vector, not one in
+    # the unweighted coordinates of the Gram matrix.
+    W = linear_map(lp_space(2, weights=[1, 3]),
+                   lp_space(2, weights=[2, Q(1, 2)]), [[1, 2], [3, -1]])
+    res = operator_norm(W)
+    assert res.upper - res.lower < Q(1, 10**10)
+    _assert_witness_in_bracket(W, res)
+
+
+def test_polytopal_source_into_l2_embedding():
+    # l1^1 -> l2^2 by a column of l2 norm 1 is an isometric embedding; by a
+    # shorter column it is 1-Lipschitz but not isometric.  Each adjoint
+    # (l2^2 -> linf^1) is a quotient map exactly when the map embeds.
+    for column, embeds in [((Q(3, 5), Q(4, 5)), True),
+                           ((Q(3, 5), Q(3, 5)), False)]:
+        T = linear_map(lp_space(1, 1), lp_space(2, 2), [[c] for c in column])
+        ev = is_isometric_embedding(T)
+        assert ev.verdict is embeds
+        assert ev.reason == ("" if embeds else "dual extension needs norm > 1")
+        assert is_quotient_map(adjoint(T)).verdict is embeds
 
 
 def test_min_norm_preimage_l1_equals_its_vpoly():

@@ -11,8 +11,8 @@ from banachlim.scalar import Q, ZERO, ONE, to_float
 from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              NormSpecError, VPolytope, ball_extreme_points,
                              dual_space, hpoly_space, lp_space, norm_eval,
-                             space_from_json, space_to_json,
-                             validate_norm_spec, vpoly_space)
+                             _halfspace_vertices, space_from_json,
+                             space_to_json, validate_norm_spec, vpoly_space)
 
 from oracles import (gauge_by_ray_bisection, random_spanning_vectors,
                      vertices_by_subset_enum)
@@ -146,8 +146,9 @@ def test_ball_extreme_points_weighted():
 
 def test_hpoly_vertices_vs_subset_oracle():
     rng = random.Random(42)
-    for _ in range(8):
-        dim = rng.choice([2, 3])
+    cases = [(rng.choice([2, 3]), False) for _ in range(8)]
+    cases += [(4, False)] * 3 + [(d, True) for d in (2, 3, 4, 2, 3, 4)]
+    for dim, through_vertices in cases:
         S = hpoly_space(random_spanning_vectors(rng, dim, dim + 3))
         got = set(ball_extreme_points(S))
         halfspaces = [r for f in S.spec.functionals
@@ -156,6 +157,22 @@ def test_hpoly_vertices_vs_subset_oracle():
         assert got == want
         for f in S.spec.functionals:
             assert max(abs(linalg.dot(f, v)) for v in got) <= 1
+        if through_vertices:
+            # A row through dim existing vertices: it cuts at or touches
+            # them, so the polytope is no longer simple there.
+            a = None
+            while a is None:    # no such row through, say, both v and -v
+                a = linalg.solve(rng.sample(sorted(got), dim), [ONE] * dim)
+            halfspaces += [a, tuple(-x for x in a)]
+            assert set(_halfspace_vertices(halfspaces, dim)) == \
+                vertices_by_subset_enum(halfspaces, dim)
+    # Cross-polytopes: every vertex lies on 2^(d-1) facets.
+    for dim in (3, 4):
+        S = hpoly_space([(ONE,) + s for s in
+                         itertools.product((ONE, -ONE), repeat=dim - 1)])
+        assert set(ball_extreme_points(S)) == {
+            tuple(s if j == i else ZERO for j in range(dim))
+            for i in range(dim) for s in (ONE, -ONE)}
 
 
 def test_norm_attainment_on_dual_vertices():

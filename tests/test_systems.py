@@ -167,6 +167,17 @@ def test_lift_non_quotient_errors():
         lift_min_norm(bad, (ONE,), 1)
 
 
+def test_lift_checks_a_quotient_flag_read_from_json():
+    # Both stages are l1^1 and the bond halves, so it is no quotient map,
+    # yet the job claims quotient bonds: the lift of 1 would be 2.
+    l1 = {"dim": 1, "spec": {"kind": "lp", "p": "1", "weights": ["1"]}}
+    s = system_from_json({"spaces": [l1, l1], "bonds": [[["1/2"]]],
+                          "is_quotient_system": True})
+    with pytest.raises(ValueError, match="bond 1"):
+        lift_min_norm(s, (ONE,), 1)
+    assert validate_standard(s)[0].quotient_ok is False
+
+
 def test_pairing_constant_tail():
     sys5 = l1_drop_system(5)
     cv = compatible_from_tail(sys5, (ONE, ZERO, ZERO, ZERO, ZERO))
