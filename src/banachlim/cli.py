@@ -27,9 +27,9 @@ from .systems import (InverseSystem, compatible_from_tail, dualize,
                       system_from_json, system_to_json, validate_standard,
                       SubspaceGenerator)
 from .determining import (CertifyConfig, DeterminingQuery, RhoSchedule,
-                          SearchConfig, anp_diagnostic, dp_diagnostic,
-                          eps_determining_certify, eps_determining_search,
-                          equivalence_witness, gfda_check,
+                          SearchConfig, _equivalence, anp_diagnostic,
+                          dp_diagnostic, eps_determining_certify,
+                          eps_determining_search, gfda_check,
                           prefix_obstruction_query)
 from . import curves as curves_mod
 
@@ -355,7 +355,7 @@ def cmd_anp_dp(args, job):
     report = {"system": system.label, "dp": _diag_out(dp),
               "anp": _diag_out(anp)}
     if anp.weak_star_convergent:
-        eq = equivalence_witness(seq, tol)
+        eq = _equivalence(seq, tol, dp, anp)
         report["equivalence"] = {
             "agree": eq.agree,
             "stage": eq.stage_i,

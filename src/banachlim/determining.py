@@ -755,25 +755,29 @@ def equivalence_witness(seq, tol=Q(1, 10**6)) -> EquivalenceReport:
                         + (||pi_i w|| - ||w||)
     at the first (i, k) where the outer terms are small.  Disagreement of
     the two verdicts is a bug signal, never a result."""
-    M = _common_stage(seq)
     tol = Q(tol)
-    system = seq[0].system
-    dp = dp_diagnostic(seq, tol)
-    anp = anp_diagnostic(seq, tol)
+    return _equivalence(seq, tol, dp_diagnostic(seq, tol),
+                        anp_diagnostic(seq, tol))
+
+
+def _equivalence(seq, tol, dp, anp) -> EquivalenceReport:
+    """equivalence_witness from the two diagnostics of seq at tol; pi_i w
+    is the ANP stage-i limit, the stage-i vector of the last element."""
     if not anp.weak_star_convergent:
         raise ValueError("sequence is not stagewise convergent within tol")
+    M = _common_stage(seq)
+    system = seq[0].system
     top = system.stage(M)
     w = anp.stage_limit
     nw = norm_eval(top, w)
     third = tol if tol > 0 else Q(1, 10**12)
     stage_i = M
     for i in range(1, M + 1):
-        wi = w[:i]
-        if nw - norm_eval(system.stage(i), wi) < third:
+        if nw - norm_eval(system.stage(i), project(seq[-1], i)) < third:
             stage_i = i
             break
     space_i = system.stage(stage_i)
-    wi = w[:stage_i]
+    wi = project(seq[-1], stage_i)
     onset_k = len(seq) - 1
     for k in range(len(seq)):
         if all(norm_eval(space_i,

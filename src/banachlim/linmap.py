@@ -1,28 +1,30 @@
 """Linear maps between normed spaces.
 
 Operator norms are exact whenever one side of the duality is polytopal:
-either the source ball's extreme points are enumerable (max of the target
-norm over them) or the target dual ball's are (max of the source dual norm
-of the pullback).  The pure l2 -> l2 case gets a certified bracket; when
-neither side can be enumerated, NormSpecError is raised.
+over the extreme points of the source ball (max of the target norm) or of
+the target dual ball (max of the source dual norm of the pullback),
+whichever is expected to list fewer and can be listed.  Either way the
+witness is a source vector that attains the norm.  The pure l2 -> l2
+case gets a certified bracket; when neither side can be enumerated,
+NormSpecError is raised.
 
 T is an isometric embedding exactly when T* is a quotient map, so both
-verdicts are one exact check: ||T|| <= 1 and a map (T, or T*) covers its
-target ball, read at that ball's extreme points off the minimal preimage
-norm.
+verdicts are one exact check: ||T|| <= 1 and a map C (T, or T*) covers its
+target ball, read at that ball's extreme points off the gauge of the image
+ball conv(+-C e) (space.hull_gauge).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import linalg
 from .scalar import (Q, ZERO, ONE, format_scalar, from_float, parse_scalar,
                      sqrt_bracket, to_float)
 from .space import (LpNorm, NormSpecError, NormedSpace, _canonical_sign,
-                    _halfspace_vertices, ball_extreme_points, ball_form,
-                    dual_space, min_norm_lp, norm_eval, norm_eval_sq,
-                    vertex_enum_dim_cap)
+                    ball_extreme_points, dual_space, extreme_point_estimate,
+                    hull_gauge, lp_space, min_norm_lp, norm_eval,
+                    norm_eval_sq)
 
 EXACT = "exact"
 SAMPLED_BOUND = "sampled-bound"
@@ -152,70 +154,57 @@ def _opnorm_l2_l2(T: LinearMap):
     return OpNormResult((lo + hi) / 2, lo, hi, SAMPLED_BOUND, witness, None)
 
 
-def _ext_cost(space: NormedSpace):
-    """Rough extreme-point count used to pick the cheaper exact side
-    (2^dim is the H-polytope worst case)."""
-    form = ball_form(space.spec)
-    if form is None:
-        return None
-    kind, B = form
-    return 2 * len(B) if kind == "gens" else 2 ** space.dim
-
-
-def _attaining_input(source: NormedSpace, phi):
-    """Unit-ball vector x with phi(x) = ||phi||_* (lp sources only; used to
-    turn a dual-route witness into a norm-attaining input)."""
-    spec = source.spec
-    if not isinstance(spec, LpNorm):
-        return None
-    w = spec.weights
-    if spec.p == "inf":
-        return tuple((ONE if f >= 0 else -ONE) / wi for f, wi in zip(phi, w))
-    if spec.p == "1":
-        j = max(range(len(phi)), key=lambda k: abs(phi[k]) / w[k])
-        x = [ZERO] * len(phi)
-        x[j] = (ONE if phi[j] >= 0 else -ONE) / w[j]
-        return tuple(x)
-    return None
-
-
-def operator_norm(T: LinearMap) -> OpNormResult:
-    """Exact when either the source ball or the target dual ball is
-    polytopal (||T|| = max ||T x|| over source vertices = max ||T* psi||
-    over target dual vertices); certified bracket for pure l2 -> l2."""
-    if _is_l2(T.source) and _is_l2(T.target):
-        return _opnorm_l2_l2(T)
-    routes = []
-    cs = _ext_cost(T.source)
-    if cs is not None:
-        routes.append((cs, "primal"))
-    ct = _ext_cost(dual_space(T.target))
-    if ct is not None:
-        routes.append((ct, "dual"))
-    routes.sort()
+def _route_norm(T: LinearMap):
+    """(result, phi) through the ball expected to list fewer extreme points
+    (the other one when it is above the cap): the source ball, ||T|| = max
+    ||T x|| over it, phi None; or the target dual ball, ||T|| = max
+    ||T* psi||_* over it, the witness the best psi and phi = T* psi."""
+    # A tie goes to the dual route: a primal pass into a V-polytope target
+    # above dimension 4 solves one LP per point.
+    routes = sorted((n, primal) for n, primal in (
+        (extreme_point_estimate(dual_space(T.target)), False),
+        (extreme_point_estimate(T.source), True)) if n is not None)
     err = None
-    for _, route in routes:
+    for _, primal in routes:
         try:
-            if route == "primal":
-                return _opnorm_over_vertices(T, ball_extreme_points(T.source))
+            if primal:
+                return _opnorm_over_vertices(
+                    T, ball_extreme_points(T.source)), None
             Tadj = adjoint(T)
-            res = _opnorm_over_vertices(Tadj,
-                                        ball_extreme_points(Tadj.source))
-            x = _attaining_input(T.source, Tadj(res.witness))
-            return OpNormResult(res.value, res.lower, res.upper,
-                                res.certificate_kind, x or res.witness,
-                                res.value_sq)
-        except NormSpecError as e:   # enumeration cap; try the other side
+            res = _opnorm_over_vertices(Tadj, ball_extreme_points(Tadj.source))
+            return res, Tadj(res.witness)
+        except NormSpecError as e:   # above the enumeration cap
             err = e
     raise err
 
 
+def _with_source_witness(T: LinearMap, res, phi) -> OpNormResult:
+    """res, its dual-route witness made the least-norm x with phi.x = v, v
+    the value: ||T x|| >= psi(T x) = v = ||T|| ||x||, and ||x|| = 1 when v
+    is exact (the zero map has no witness)."""
+    if phi is None:
+        return res
+    x = None
+    if res.value_sq:
+        row = LinearMap(T.source, lp_space(1, 1), (phi,))
+        x = min_norm_preimage(row, (res.value,))[0]
+    return replace(res, witness=x)
+
+
+def operator_norm(T: LinearMap) -> OpNormResult:
+    """Exact unless pure l2 -> l2 (a certified bracket there); the witness
+    is a source vector that attains the norm."""
+    if _is_l2(T.source) and _is_l2(T.target):
+        return _opnorm_l2_l2(T)
+    return _with_source_witness(T, *_route_norm(T))
+
+
 def is_one_lipschitz(T: LinearMap) -> bool:
     """Exact ||T|| <= 1 verdict (polytopal routes, and pure l2 -> l2 via an
-    exact PSD check)."""
+    exact PSD check); it finds no witness."""
     if _is_l2(T.source) and _is_l2(T.target):
         return _gram_at_most(_weighted_gram(T), ONE)
-    return operator_norm(T).value_sq <= 1
+    return _route_norm(T)[0].value_sq <= 1
 
 
 def in_range(T: LinearMap, v) -> bool:
@@ -272,46 +261,28 @@ def quotient_norm(T: LinearMap, v):
     return value
 
 
-def _image_gauge(T: LinearMap):
-    """Exact gauge of T(B_src) = conv(+-T e) over the source-ball extreme
-    points e, as a function on the target; None when that hull cannot be
-    enumerated (target dimension above the vertex-enumeration cap, or a
-    source ball that ball_extreme_points refuses, l2 included).  T must be
-    surjective.  The hull's facet normals are the vertices of its polar
-    {psi : |psi . T e| <= 1}, so the gauge at v is the largest psi . v over
-    them: the min_norm_preimage value at v, without an LP."""
-    if T.target.dim > vertex_enum_dim_cap():
-        return None
-    try:
-        points = ball_extreme_points(T.source)
-    except NormSpecError:
-        return None
-    rows = {_canonical_sign(w) for w in map(T, points)
-            if any(x != 0 for x in w)}
-    facets = _halfspace_vertices(
-        [r for f in rows for r in (f, tuple(-x for x in f))], T.target.dim)
-    return lambda v: max(linalg.dot(f, v) for f in facets)
-
-
 def _min_preimage_norm_sq(C: LinearMap):
     """Exact square of the minimal preimage norm under a surjective C, on
-    its target: the image gauge where its facets can be enumerated, else
-    exact squares from the l2 normal equations, else the LP."""
-    gauge = _image_gauge(C)
-    if gauge is not None:
-        return lambda v: gauge(v) ** 2
-    if _is_l2(C.source):
+    its target: the gauge of the image ball conv(+-C e) over the listed
+    source-ball extreme points e, else that of the least-norm preimage (l2
+    normal equations, or the LP)."""
+    try:
+        points = ball_extreme_points(C.source)
+    except NormSpecError:   # l2 source, or a rows-form one above the cap
         return lambda v: norm_eval_sq(C.source, min_norm_preimage(C, v)[0])
-    return lambda v: min_norm_preimage(C, v)[1] ** 2
+    gauge = hull_gauge(dict.fromkeys(
+        _canonical_sign(w) for w in map(C, points) if any(w)), C.target.dim)
+    return lambda v: gauge(v) ** 2
 
 
 def _covering_verdict(T: LinearMap, C: LinearMap, reason) -> MapVerdict:
     """||T|| <= 1, and the surjective C (T, or T*) covers its target ball:
     every listed extreme point of it has a preimage of norm <= 1 (enough by
     convexity; a listed point that is not extreme is covered too)."""
-    res = operator_norm(T)
+    res, phi = _route_norm(T)
     if res.value_sq > 1:
-        return MapVerdict(False, witness=res.witness,
+        return MapVerdict(False,
+                          witness=_with_source_witness(T, res, phi).witness,
                           reason="operator norm exceeds 1")
     norm_sq = _min_preimage_norm_sq(C)
     for v in ball_extreme_points(C.target):

@@ -2,8 +2,13 @@
 
 Three norm representations: weighted lp for p in {1, 2, inf}, H-polytope
 (unit ball cut out by functionals, norm = max |phi_i(x)|) and V-polytope
-(unit ball conv(+-v_j), norm = gauge, computed by an exact LP).  Every
-exact LP that minimizes a polytopal norm is built by min_norm_lp.
+(unit ball conv(+-v_j), norm = gauge).  The vertices of a ball given by
+rows are enumerated once per row list and cached; a V-polytope norm is the
+largest psi.x over the cached facet normals psi (the vertices of its polar)
+up to dimension _FACET_DIM, and one exact LP above it.  hull_gauge reads a
+one-off ball, evaluated at a batch of points, off its facets up to the
+vertex-enumeration cap.  Every exact LP that minimizes a polytopal norm is
+built by min_norm_lp.
 
 All polytope geometry is exact rational; the only approximate quantity is
 the l2 norm value itself (its square is exact).
@@ -11,6 +16,7 @@ the l2 norm value itself (its square is exact).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -20,6 +26,12 @@ from .scalar import Q, ZERO, ONE, parse_scalar, format_scalar, sqrt_approx
 from .simplex import LinearProgram, OPTIMAL
 
 DEFAULT_DIM_CAP = 8
+# Up to this dimension norm_eval reads a V-polytope norm off its cached
+# facets.  Measured on random V-polytopes with d+2 to d+6 generators: the
+# enumeration pays for itself within 2-8 evaluations up to d = 4, after
+# 10-25 at d = 5, and after 50-110 or never at d = 6; three evaluations by
+# facets cost 2-4x the LPs at d = 5 and 20-27x at d = 8.
+_FACET_DIM = 4
 
 
 def vertex_enum_dim_cap() -> int:
@@ -250,11 +262,9 @@ def norm_eval(space: NormedSpace, x):
     if isinstance(spec, HPolytope):
         return max(abs(linalg.dot(f, x)) for f in spec.functionals)
     if isinstance(spec, VPolytope):
-        res = min_norm_lp(spec, linalg.identity(space.dim), x)
-        if res is None:
-            raise NormSpecError("gauge LP infeasible: corrupted VPolytope "
-                                "(vertices do not span)")
-        return res[0]
+        return _gauge(spec, space.dim,
+                      min(_FACET_DIM, vertex_enum_dim_cap()),
+                      _rows_vertices)(x)
     raise NormSpecError(f"unknown spec {type(spec).__name__}")
 
 
@@ -290,22 +300,15 @@ def dual_space(space: NormedSpace) -> NormedSpace:
 # ---------------------------------------------------------------------------
 # Unit-ball extreme points
 
-def _halfspaces_of(spec):
-    """Rows a with ball = {x : a.x <= 1 for all rows} (symmetric pairs)."""
-    form = ball_form(spec)
-    if form is None or form[0] != "rows":
-        raise NormSpecError("no halfspace representation")
-    return [r for f in form[1] for r in (f, tuple(-v for v in f))]
-
-
-def _adjacent(i, j, verts):
+def _adjacent(i, j, verts, dim):
     """Adjacency on the current polytope (Fukuda's combinatorial test):
     vertices are adjacent iff no other vertex is active on all of their
     common active set.  Exact because verts lists every vertex of the
     polytope with its full active set: the face cut out by the common set
-    is an edge iff it has no third vertex."""
+    is an edge iff it has no third vertex.  An edge lies on at least
+    dim - 1 facets, so a smaller common set rules the pair out at once."""
     common = verts[i][1] & verts[j][1]
-    return not any(common <= verts[k][1]
+    return len(common) >= dim - 1 and not any(common <= verts[k][1]
                    for k in range(len(verts)) if k != i and k != j)
 
 
@@ -344,7 +347,7 @@ def _halfspace_vertices(halfspaces, dim):
         new_verts = []
         for i in inside:
             for j in outside:
-                if not _adjacent(i, j, verts):
+                if not _adjacent(i, j, verts, dim):
                     continue
                 ti, tj = vals[i], vals[j]
                 lam = (1 - ti) / (tj - ti)
@@ -368,8 +371,64 @@ def _halfspace_vertices(halfspaces, dim):
     return [tuple(v[0]) for v in verts]
 
 
+def _symmetric_vertices(rows, dim):
+    """Vertices of {x : |r.x| <= 1 for every row r}."""
+    return tuple(_halfspace_vertices(
+        [r for f in rows for r in (f, tuple(-v for v in f))], dim))
+
+
+_cached_vertices = functools.lru_cache(maxsize=32)(_symmetric_vertices)
+
+
+def _rows_vertices(rows, dim):
+    """_symmetric_vertices, enumerated once per row list (rows given as
+    lists are keyed as tuples)."""
+    return _cached_vertices(tuple(map(tuple, rows)), dim)
+
+
+def _gauge(spec, dim, facet_dim, vertices_of):
+    """x -> gauge of the V-polytope ball conv(+-spec.vertices) at x: the
+    largest f.x over its facet normals f (the vertices of its polar, from
+    vertices_of) up to dimension facet_dim, one exact LP per x above it."""
+    if dim <= facet_dim:
+        facets = vertices_of(spec.vertices, dim)
+        return lambda x: max(linalg.dot(f, x) for f in facets)
+    eye = linalg.identity(dim)
+
+    def gauge_lp(x):
+        res = min_norm_lp(spec, eye, x)
+        if res is None:
+            raise NormSpecError("gauge LP infeasible: corrupted VPolytope "
+                                "(vertices do not span)")
+        return res[0]
+    return gauge_lp
+
+
+def hull_gauge(generators, dim):
+    """x -> gauge of conv(+-generators) at x, for a one-off ball evaluated
+    at many points: read off its facet normals up to the vertex-enumeration
+    cap (they pay for themselves over a batch of points), one LP per point
+    above it.  The facets are enumerated for this function alone, so a
+    one-off ball pushes no reused one out of the vertex cache.  The
+    generators must span."""
+    return _gauge(VPolytope(tuple(generators)), dim, vertex_enum_dim_cap(),
+                  _symmetric_vertices)
+
+
+def extreme_point_estimate(space: NormedSpace):
+    """Extreme-point count of the unit ball read off its form, with no
+    enumeration: 2|G| for generators, 2^dim for rows (the count of a
+    parallelepiped); None for l2."""
+    form = ball_form(space.spec)
+    if form is None:
+        return None
+    kind, B = form
+    return 2 * len(B) if kind == "gens" else 2 ** space.dim
+
+
 def ball_extreme_points(space: NormedSpace):
-    """Extreme points of the unit ball (polytopal specs and p in {1, inf})."""
+    """Extreme points of the unit ball (polytopal specs and p in {1, inf});
+    an H-polytope's are enumerated once per spec and cached."""
     spec = space.spec
     dim = space.dim
     form = ball_form(spec)
@@ -388,7 +447,7 @@ def ball_extreme_points(space: NormedSpace):
         # follow.
         return [tuple(s / w for s, w in zip(signs, spec.weights))
                 for signs in itertools.product((ONE, -ONE), repeat=dim)]
-    return _halfspace_vertices(_halfspaces_of(spec), dim)
+    return list(_rows_vertices(spec.functionals, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,25 @@ def test_validate_corrupted_bond_fails(tmp_path, capsys):
     assert report["verdicts"][0]["stage"] == 1
 
 
+def test_validate_witness_is_a_source_vector(tmp_path, capsys):
+    # The failing bond maps a V-polytope plane onto a line: its witness is
+    # a point of the plane that attains the operator norm 3.
+    payload = {
+        "kind": "inverse", "stages": 2,
+        "spaces": [
+            {"dim": 1, "spec": {"kind": "lp", "p": "1", "weights": ["1"]}},
+            {"dim": 2, "spec": {"kind": "vpoly",
+                                "vertices": [["1", "0"], ["0", "1"],
+                                             ["1", "1"]]}},
+        ],
+        "bonds": [[["3", "-1"]]],
+    }
+    code, out = _run(capsys, "validate", _write(tmp_path, "sys.json", payload))
+    assert code == 1
+    witness = json.loads(out)["verdicts"][0]["witness"]
+    assert witness == ["1", "0"]
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "inverse",\n  broken\n}')
@@ -230,6 +249,17 @@ def test_anp_dp_report(tmp_path, capsys):
     assert report["anp"]["norm_converges"]
     assert report["equivalence"]["agree"]
     assert report["equivalence"]["identity_holds"]
+
+
+def test_anp_dp_on_a_quotient_system_with_dense_bonds(tmp_path, capsys):
+    tail = ["1", "-1/2", "0", "2"]
+    job = _write(tmp_path, "seq.json", {
+        "system": {"builtin": "random_quotient", "stages": 4, "seed": 3},
+        "sequence": [tail, tail, tail],
+    })
+    code, out = _run(capsys, "anp-dp", job)
+    assert code == 0
+    assert json.loads(out)["equivalence"]["identity_holds"]
 
 
 def test_curves_scan_and_csv(tmp_path, capsys):

@@ -6,9 +6,11 @@ from banachlim import linalg
 from banachlim.scalar import Q, ZERO, ONE
 from banachlim.space import (ball_extreme_points, hpoly_space, lp_space,
                              norm_eval, vpoly_space)
-from banachlim.systems import (SubspaceGenerator, compatible_from_tail,
-                               generator_from_tail, l1_drop_system,
-                               linf_drop_system, project)
+from banachlim.linmap import linear_map
+from banachlim.systems import (InverseSystem, SubspaceGenerator,
+                               compatible_from_tail, generator_from_tail,
+                               l1_drop_system, linf_drop_system, project,
+                               random_quotient_system)
 from banachlim.determining import (CertifyConfig, DeterminingQuery,
                                    RhoSchedule, SearchConfig, anp_diagnostic,
                                    dp_diagnostic, eps_determining_certify,
@@ -313,6 +315,30 @@ def test_equivalence_witness_requires_convergence():
            for k in range(6)]
     with pytest.raises(ValueError):
         equivalence_witness(seq)
+
+
+def test_equivalence_witness_projects_through_the_bonds():
+    # pi_i w is the stage-i limit, read through the bonds; the first i
+    # coordinates of w are that only for coordinate-drop bonds.
+    rq = random_quotient_system(3, 4)
+    tail = [Q(k - 1, 2) for k in range(rq.stage(4).dim)]
+    seq = [compatible_from_tail(rq, tail)] * 3
+    rep = equivalence_witness(seq)
+    assert rep.identity_holds
+    assert -rep.terms[2] < Q(1, 10**6)
+
+
+def test_equivalence_stage_is_the_first_with_a_small_limit_gap():
+    # The bond l1^2 -> l1^1 keeps the second coordinate: the tail (0, 5)
+    # has stage-1 limit (5), so the limit gap already closes at stage 1.
+    l1 = {i: lp_space(1, dim=i) for i in (1, 2)}
+    sys_ = InverseSystem(l1.get, lambda i: linear_map(l1[2], l1[1], [[0, 1]]),
+                         2)
+    seq = [compatible_from_tail(sys_, [ZERO, Q(5)])] * 3
+    assert dp_diagnostic(seq).uniformity[0] == 0
+    rep = equivalence_witness(seq)
+    assert rep.stage_i == 1
+    assert rep.terms == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

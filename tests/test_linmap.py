@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from banachlim import linalg, linmap
+from banachlim import linalg, linmap, space
 from banachlim.scalar import Q, ZERO, ONE, from_float, to_float
 from banachlim.linmap import (EXACT, SAMPLED_BOUND, LinearMap, RangeError,
                               adjoint, compose, is_isometric_embedding,
                               is_one_lipschitz, is_quotient_map, linear_map,
                               map_from_json, map_to_json, min_norm_preimage,
                               operator_norm, quotient_norm)
+from banachlim.simplex import LinearProgram
 from banachlim.space import (NormedSpace, VPolytope, ball_extreme_points,
                              hpoly_space, lp_space, norm_eval, norm_eval_sq,
                              vpoly_space)
@@ -282,6 +283,19 @@ def test_uncovered_target_vertex_fails_both_verdicts():
         assert min_norm_preimage(adjoint(A), ev.witness)[1] > 1
 
 
+def _count_lp_solves(monkeypatch):
+    """List that gains one entry per LinearProgram.solve call."""
+    solves = []
+    solve = LinearProgram.solve
+
+    def counted(self):
+        solves.append(self)
+        return solve(self)
+
+    monkeypatch.setattr(LinearProgram, "solve", counted)
+    return solves
+
+
 def test_cover_and_lp_routes_agree(monkeypatch):
     rng = random.Random(89)
     maps = []
@@ -293,11 +307,12 @@ def test_cover_and_lp_routes_agree(monkeypatch):
         return [(is_quotient_map(T), is_isometric_embedding(adjoint(T)))
                 for T in maps]
 
-    assert all(linmap._image_gauge(T) is not None for T in maps)
+    solves = _count_lp_solves(monkeypatch)
     facet_route = verdicts()
+    assert len(solves) == 0
     monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "1")
-    assert all(linmap._image_gauge(T) is None for T in maps)
     assert verdicts() == facet_route
+    assert len(solves) > 0
     assert [q.verdict for q, _ in facet_route] == [True, False] * 6
     assert [e.verdict for _, e in facet_route] == [True, False] * 6
 
@@ -349,12 +364,14 @@ def test_listed_non_extreme_target_point_is_covered(monkeypatch):
     L = LinearMap(lp_space(2, 1), NormedSpace(1, VPolytope(((ONE,),
                                                             (Q(1, 2),)))),
                   ((ONE,),))
-    assert linmap._image_gauge(T) is not None
-    assert linmap._image_gauge(L) is None
-    assert is_quotient_map(T) == is_quotient_map(L) == linmap.MapVerdict(True)
+    solves = _count_lp_solves(monkeypatch)
+    assert is_quotient_map(T) == linmap.MapVerdict(True)
+    assert len(solves) == 0
+    assert is_quotient_map(L) == linmap.MapVerdict(True)
     monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "1")
-    assert linmap._image_gauge(T) is None
+    solves.clear()
     assert is_quotient_map(T).verdict
+    assert len(solves) > 0
     # A point outside the image of the ball still fails, with its reason.
     U = LinearMap(T.source, NormedSpace(2, VPolytope(((ONE, ZERO), (ZERO, ONE),
                                                       (ONE, ONE)))), T.matrix)
@@ -369,6 +386,81 @@ def _assert_witness_in_bracket(T, res):
     w = res.witness
     ratio = norm_eval_sq(T.target, T(w)) / norm_eval_sq(T.source, w)
     assert res.lower ** 2 <= ratio <= res.upper ** 2
+
+
+def _assert_witness_attains(T, res):
+    """The witness is a source vector w with ||T w|| = ||T|| ||w||."""
+    w = res.witness
+    assert len(w) == T.source.dim
+    if res.value_sq is None:                   # l2 -> l2: a bracket
+        _assert_witness_in_bracket(T, res)
+    else:
+        assert norm_eval_sq(T.target, T(w)) == \
+            res.value_sq * norm_eval_sq(T.source, w)
+
+
+def test_opnorm_witness_is_an_attaining_source_vector(monkeypatch):
+    # Sources of dimension 3 into targets of dimension 2, through the route
+    # the ball counts pick: primal into l2, dual into the polytopal targets
+    # and from every l2 source (l2 -> l2 through its bracket).
+    rng = random.Random(103)
+    weights = [Q(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(3)]
+    targets = [lp_space(1, dim=2), lp_space("inf", weights=[2, Q(1, 3)]),
+               lp_space(2, weights=[1, 3]), _rand_polytope_space(rng, 2),
+               _rand_polytope_space(rng, 2)]
+    hpoly = hpoly_space(random_spanning_vectors(rng, 3, 5))
+    sources = [lp_space(1, weights=weights), lp_space("inf", weights=weights),
+               hpoly, vpoly_space(random_spanning_vectors(rng, 3, 5)),
+               lp_space(2, weights=weights)]
+    for src in sources:
+        for tgt in targets:
+            T = _rand_map(rng, src, tgt)
+            _assert_witness_attains(T, operator_norm(T))
+    # Above the cap an H-polytope source takes the dual route as well.
+    monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "2")
+    with pytest.raises(linmap.NormSpecError):
+        ball_extreme_points(hpoly)
+    for tgt in targets[:2] + targets[3:]:
+        T = _rand_map(rng, hpoly, tgt)
+        _assert_witness_attains(T, operator_norm(T))
+    # The zero map attains its norm 0 everywhere and names no witness.
+    res = operator_norm(linear_map(hpoly, targets[0], [[0, 0, 0]] * 2))
+    assert res.value == 0 and res.witness is None
+
+
+def test_opnorm_lists_the_smaller_ball(monkeypatch):
+    # An H-polytope source of dimension 6 into l1^2: the target dual ball
+    # lists 4 points, so the source ball is never enumerated.
+    rng = random.Random(107)
+    enumerated = []
+    halfspace_vertices = space._halfspace_vertices
+    monkeypatch.setattr(space, "_halfspace_vertices", lambda h, d: (
+        enumerated.append(d), halfspace_vertices(h, d))[1])
+    src = hpoly_space(random_spanning_vectors(rng, 6, 8))
+    T = _rand_map(rng, src, lp_space(1, dim=2))
+    _assert_witness_attains(T, operator_norm(T))
+    assert enumerated == []
+
+
+def test_covering_check_reads_image_facets_up_to_the_cap(monkeypatch):
+    # The linf^6 -> linf^5 drop: the image ball (the linf^5 cube) is read
+    # off its facets, with no LP.
+    drop = [[1 if j == i else 0 for j in range(6)] for i in range(5)]
+    T = linear_map(lp_space("inf", dim=6), lp_space("inf", dim=5), drop)
+    solves = _count_lp_solves(monkeypatch)
+    assert is_quotient_map(T) == linmap.MapVerdict(True)
+    assert solves == []
+    # The one-off image ball stays out of the shared vertex cache: only the
+    # source and target balls of an H^3 -> H^2 map enter it (a small map,
+    # so the check gets to the covering step, and fails there).
+    rng = random.Random(109)
+    small = Q(1, 100)
+    U = linear_map(hpoly_space(random_spanning_vectors(rng, 3, 4)),
+                   hpoly_space(random_spanning_vectors(rng, 2, 3)),
+                   [[small, 0, 0], [0, small, 0]])
+    space._cached_vertices.cache_clear()
+    assert is_quotient_map(U).reason == "min preimage norm != target norm"
+    assert space._cached_vertices.cache_info().currsize == 2
 
 
 def test_l2_bracket_when_start_vector_misses_top_singular_vector():

@@ -9,10 +9,11 @@ from banachlim import linalg
 from banachlim.determining import _float_norm_fn
 from banachlim.scalar import Q, ZERO, ONE, to_float
 from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
-                             NormSpecError, VPolytope, ball_extreme_points,
-                             dual_space, hpoly_space, lp_space, norm_eval,
-                             _halfspace_vertices, space_from_json,
-                             space_to_json, validate_norm_spec, vpoly_space)
+                             NormedSpace, NormSpecError, VPolytope,
+                             ball_extreme_points, dual_space, hpoly_space,
+                             lp_space, norm_eval, _halfspace_vertices,
+                             space_from_json, space_to_json,
+                             validate_norm_spec, vpoly_space)
 
 from oracles import (gauge_by_ray_bisection, random_spanning_vectors,
                      vertices_by_subset_enum)
@@ -53,9 +54,10 @@ def test_validate_norm_degenerate():
 
 
 def test_gauge_against_ray_bisection_oracle():
+    # Dimensions 2-4 read the gauge off cached facets, 5 and 6 solve the LP.
     rng = random.Random(11)
-    for _ in range(12):
-        dim = rng.choice([2, 3, 4])
+    for trial in range(14):
+        dim = rng.choice([2, 3, 4]) if trial < 12 else trial - 7
         verts = random_spanning_vectors(rng, dim, dim + rng.randint(1, 3))
         S = vpoly_space(verts)
         x = tuple(Q(rng.randint(-5, 5)) for _ in range(dim))
@@ -227,3 +229,13 @@ def test_hpoly_and_vpoly_keep_the_same_vectors():
         vs = random_spanning_vectors(rng, d, rng.randint(d, d + 4))
         assert hpoly_space(vs).spec.functionals == \
             vpoly_space(vs).spec.vertices
+
+
+def test_specs_built_from_lists_evaluate():
+    # The cached vertex lists are keyed by the rows, which may be lists.
+    V = NormedSpace(2, VPolytope([[1, 0], [0, 1], [1, 1]]))
+    assert norm_eval(V, (1, 2)) == 2
+    H = NormedSpace(2, HPolytope([[1, 0], [0, 1], [1, 1]]))
+    assert set(ball_extreme_points(H)) == {(ONE, ZERO), (ZERO, ONE),
+                                           (-ONE, ZERO), (ZERO, -ONE),
+                                           (ONE, -ONE), (-ONE, ONE)}
