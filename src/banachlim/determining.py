@@ -878,8 +878,7 @@ def rescaled_image_presentation(system: InverseSystem,
     for i in range(1, M):
         B_i = _basis_matrix(gen.matrix(i))
         B_next = _basis_matrix(gen.matrix(i + 1))
-        theta = _coordinates(B_i, linalg.mat_mul(system.bond(i).matrix,
-                                                 B_next))
+        theta = _coordinates(B_i, system.bond(i).mat_mul(B_next))
         bonds.append(linear_map(spaces[i], spaces[i - 1], theta))
     new_system = InverseSystem(lambda j: spaces[j - 1],
                                lambda j: bonds[j - 1], M,

@@ -7,15 +7,16 @@ over the rationals is exact anyway, and the sizes in this package are tiny.
 
 from __future__ import annotations
 
-from .scalar import Q, ZERO, ONE
+from .scalar import Q, RAT, ZERO, ONE
 
 
 def vec(xs):
-    return tuple(Q(x) for x in xs)
+    """xs as a tuple of exact rationals (backend rationals pass through)."""
+    return tuple(x if type(x) is RAT else Q(x) for x in xs)
 
 
 def mat(rows):
-    return tuple(tuple(Q(x) for x in r) for r in rows)
+    return tuple(map(vec, rows))
 
 
 def mat_vec(A, x):

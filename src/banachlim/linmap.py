@@ -17,6 +17,7 @@ ball conv(+-C e) (space.hull_gauge).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import linalg
 from .scalar import (Q, ZERO, ONE, format_scalar, from_float, parse_scalar,
@@ -36,26 +37,72 @@ class RangeError(ValueError):
 
 @dataclass(frozen=True)
 class LinearMap:
+    """T : source -> target, given by its rows (target.dim x source.dim) or
+    in coordinate form: coords holds, per target coordinate, the source
+    index it copies (no index twice), or None for a zero row.  A coordinate
+    map is applied by gathering and builds .matrix only when it is read."""
     source: NormedSpace
     target: NormedSpace
-    matrix: tuple      # target.dim rows x source.dim cols
+    rows: tuple = None
+    coords: tuple = None
 
     def __post_init__(self):
-        if len(self.matrix) != self.target.dim or any(
-                len(r) != self.source.dim for r in self.matrix):
-            raise ValueError("matrix shape does not match source/target dims")
+        if self.coords is None:
+            fits = len(self.rows) == self.target.dim and all(
+                len(r) == self.source.dim for r in self.rows)
+        else:
+            used = [c for c in self.coords if c is not None]
+            fits = (len(self.coords) == self.target.dim
+                    and len(set(used)) == len(used)
+                    and all(0 <= c < self.source.dim for c in used))
+        if not fits:
+            raise ValueError("map shape does not match source/target dims")
+
+    @cached_property
+    def matrix(self):
+        if self.coords is None:
+            return self.rows
+        return _unit_rows(self.coords, self.source.dim)
 
     def __call__(self, x):
-        return linalg.mat_vec(self.matrix, x)
+        if len(x) != self.source.dim:
+            raise ValueError("vector length does not match the source dim")
+        if self.coords is None:
+            return linalg.mat_vec(self.rows, x)
+        return tuple(ZERO if c is None else x[c] for c in self.coords)
+
+    def mat_mul(self, G):
+        """T G for a matrix G with source.dim rows (a row gather on a
+        coordinate map)."""
+        if self.coords is None:
+            return linalg.mat_mul(self.rows, G)
+        zero = (ZERO,) * len(G[0]) if G else ()
+        return tuple(zero if c is None else G[c] for c in self.coords)
+
+
+def _unit_rows(coords, n):
+    return tuple(tuple(ONE if j == c else ZERO for j in range(n))
+                 for c in coords)
 
 
 def linear_map(source, target, rows) -> LinearMap:
-    return LinearMap(source, target, linalg.mat(rows))
+    """The map with these rows, in coordinate form when every row is zero
+    or a unit vector and no two are the same unit vector."""
+    rows = linalg.mat(rows)
+    coords = tuple(next((j for j, v in enumerate(r) if v), None)
+                   for r in rows)
+    used = [c for c in coords if c is not None]
+    if len(set(used)) == len(used) and _unit_rows(coords, source.dim) == rows:
+        return LinearMap(source, target, coords=coords)
+    return LinearMap(source, target, rows)
 
 
 def compose(S: LinearMap, T: LinearMap) -> LinearMap:
     """S after T."""
-    return LinearMap(T.source, S.target, linalg.mat_mul(S.matrix, T.matrix))
+    if S.coords is not None and T.coords is not None:
+        return LinearMap(T.source, S.target, coords=tuple(
+            None if c is None else T.coords[c] for c in S.coords))
+    return LinearMap(T.source, S.target, S.mat_mul(T.matrix))
 
 
 @dataclass(frozen=True)
@@ -81,9 +128,14 @@ def _is_l2(space: NormedSpace) -> bool:
 
 
 def adjoint(T: LinearMap) -> LinearMap:
-    """T* : target* -> source*, transposed matrix."""
+    """T* : target* -> source*, transposed matrix (the inverted index map
+    of a coordinate map)."""
+    if T.coords is None:
+        return LinearMap(dual_space(T.target), dual_space(T.source),
+                         linalg.transpose(T.rows))
+    inverse = {c: i for i, c in enumerate(T.coords) if c is not None}
     return LinearMap(dual_space(T.target), dual_space(T.source),
-                     linalg.transpose(T.matrix))
+                     coords=tuple(map(inverse.get, range(T.source.dim))))
 
 
 def _opnorm_over_vertices(T: LinearMap, vertices):
@@ -199,12 +251,25 @@ def operator_norm(T: LinearMap) -> OpNormResult:
     return _with_source_witness(T, *_route_norm(T))
 
 
-def is_one_lipschitz(T: LinearMap) -> bool:
+def lipschitz_verdict(T: LinearMap) -> MapVerdict:
     """Exact ||T|| <= 1 verdict (polytopal routes, and pure l2 -> l2 via an
-    exact PSD check); it finds no witness."""
+    exact PSD check); when it fails, the witness is operator_norm's, taken
+    from the same route."""
     if _is_l2(T.source) and _is_l2(T.target):
-        return _gram_at_most(_weighted_gram(T), ONE)
-    return _route_norm(T)[0].value_sq <= 1
+        if _gram_at_most(_weighted_gram(T), ONE):
+            return MapVerdict(True)
+        witness = _opnorm_l2_l2(T).witness
+    else:
+        res, phi = _route_norm(T)
+        if res.value_sq <= 1:
+            return MapVerdict(True)
+        witness = _with_source_witness(T, res, phi).witness
+    return MapVerdict(False, witness=witness, reason="operator norm exceeds 1")
+
+
+def is_one_lipschitz(T: LinearMap) -> bool:
+    """The verdict of lipschitz_verdict."""
+    return lipschitz_verdict(T).verdict
 
 
 def in_range(T: LinearMap, v) -> bool:
@@ -279,11 +344,9 @@ def _covering_verdict(T: LinearMap, C: LinearMap, reason) -> MapVerdict:
     """||T|| <= 1, and the surjective C (T, or T*) covers its target ball:
     every listed extreme point of it has a preimage of norm <= 1 (enough by
     convexity; a listed point that is not extreme is covered too)."""
-    res, phi = _route_norm(T)
-    if res.value_sq > 1:
-        return MapVerdict(False,
-                          witness=_with_source_witness(T, res, phi).witness,
-                          reason="operator norm exceeds 1")
+    lip = lipschitz_verdict(T)
+    if not lip.verdict:
+        return lip
     norm_sq = _min_preimage_norm_sq(C)
     for v in ball_extreme_points(C.target):
         if norm_sq(v) > 1:
@@ -331,6 +394,5 @@ def map_from_json(obj, spaces) -> LinearMap:
     """spaces: mapping from label to NormedSpace."""
     src = spaces[obj["source"]]
     tgt = spaces[obj["target"]]
-    rows = tuple(tuple(parse_scalar(v) for v in row)
-                 for row in obj["matrix"])
-    return LinearMap(src, tgt, rows)
+    return linear_map(src, tgt, [[parse_scalar(v) for v in row]
+                                 for row in obj["matrix"]])

@@ -31,6 +31,7 @@ except ImportError:
 
 ZERO = Q(0)
 ONE = Q(1)
+RAT = type(ONE)      # the backend rational type
 
 
 def parse_scalar(s):

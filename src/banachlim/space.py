@@ -53,6 +53,16 @@ class LpNorm:
     weights: tuple              # strictly positive rationals
     kind = "lp"
 
+    @functools.cached_property
+    def unit_weights(self) -> bool:
+        return all(w == 1 for w in self.weights)
+
+    def weigh(self, x):
+        """(w_j x_j), x itself when every weight is 1."""
+        if self.unit_weights:
+            return x
+        return [w * v for w, v in zip(self.weights, x)]
+
 
 @dataclass(frozen=True)
 class HPolytope:
@@ -103,7 +113,7 @@ def validate_norm_spec(spec, dim) -> NormDiagnostics:
             issues.append(f"p={spec.p!r} not in {{1,2,inf}}")
         if len(spec.weights) != dim:
             issues.append("weight count != dim")
-        if any(Q(w) <= 0 for w in spec.weights):
+        if any(w <= 0 for w in linalg.vec(spec.weights)):
             issues.append("weights must be strictly positive")
     elif isinstance(spec, HPolytope):
         if any(len(f) != dim for f in spec.functionals):
@@ -228,7 +238,7 @@ def lp_space(p, dim=None, weights=None, label="") -> NormedSpace:
     p = str(p)
     if weights is None:
         weights = (ONE,) * dim
-    weights = tuple(Q(w) for w in weights)
+    weights = linalg.vec(weights)
     dim = len(weights)
     return NormedSpace(dim, LpNorm(p, weights), label)
 
@@ -253,12 +263,10 @@ def norm_eval(space: NormedSpace, x):
     x = linalg.vec(x)
     spec = space.spec
     if isinstance(spec, LpNorm):
-        terms = [w * abs(v) for w, v in zip(spec.weights, x)]
-        if spec.p == "1":
-            return sum(terms, ZERO)
-        if spec.p == "inf":
-            return max(terms) if terms else ZERO
-        return sqrt_approx(sum((t * t for t in terms), ZERO))
+        if spec.p == "2":
+            return sqrt_approx(norm_eval_sq(space, x))
+        terms = map(abs, spec.weigh(x))
+        return sum(terms, ZERO) if spec.p == "1" else max(terms, default=ZERO)
     if isinstance(spec, HPolytope):
         return max(abs(linalg.dot(f, x)) for f in spec.functionals)
     if isinstance(spec, VPolytope):
@@ -272,8 +280,7 @@ def norm_eval_sq(space: NormedSpace, x):
     """Exact square of the norm (rational for every spec, incl. l2)."""
     spec = space.spec
     if isinstance(spec, LpNorm) and spec.p == "2":
-        x = linalg.vec(x)
-        return sum(((w * v) ** 2 for w, v in zip(spec.weights, x)), ZERO)
+        return sum((t * t for t in spec.weigh(linalg.vec(x))), ZERO)
     n = norm_eval(space, x)
     return n * n
 

@@ -9,13 +9,14 @@ direct-limit norms are upper bounds of the limit pseudo-norm.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 from . import linalg
-from .scalar import Q, ZERO, ONE, format_scalar, parse_scalar
-from .linmap import (LinearMap, adjoint, is_one_lipschitz, is_quotient_map,
-                     linear_map, min_norm_preimage, operator_norm)
+from .scalar import Q, format_scalar, parse_scalar
+from .linmap import (LinearMap, adjoint, is_quotient_map, lipschitz_verdict,
+                     linear_map, min_norm_preimage)
 from .space import (NormedSpace, ball_extreme_points, dual_space, lp_space,
                     norm_eval, norm_eval_sq, space_from_json, space_to_json,
                     vpoly_space)
@@ -79,10 +80,8 @@ def validate_standard(system):
     quotient = isinstance(system, InverseSystem) and system.is_quotient_system
     for i in range(1, system.max_stage):
         T = system.bond(i)
-        lip = is_one_lipschitz(T)
-        witness = None
-        if lip is False:
-            witness = operator_norm(T).witness
+        lv = lipschitz_verdict(T)
+        lip, witness = lv.verdict, lv.witness
         q_ok = None
         if quotient and lip:
             qv = is_quotient_map(T)
@@ -338,7 +337,7 @@ class SubspaceGenerator:
             if len(m) != system.stage(i).dim:
                 raise StageError(f"generator matrix {i} has wrong row count")
         for i in range(1, len(self.matrices)):
-            lhs = linalg.mat_mul(system.bond(i).matrix, self.matrices[i])
+            lhs = system.bond(i).mat_mul(self.matrices[i])
             if lhs != self.matrices[i - 1]:
                 raise StageError(
                     f"generator family incompatible with bond {i}")
@@ -363,7 +362,7 @@ def generator_from_tail(system: InverseSystem, g_top, top=None
     g = linalg.mat(g_top)
     mats = [g]
     for i in range(top - 1, 0, -1):
-        g = linalg.mat_mul(system.bond(i).matrix, g)
+        g = system.bond(i).mat_mul(g)
         mats.append(g)
     return SubspaceGenerator(system, tuple(reversed(mats)))
 
@@ -372,13 +371,12 @@ def generator_from_tail(system: InverseSystem, g_top, top=None
 # Built-in system library
 
 def _drop_system(p, max_stage, label):
+    @functools.cache        # one space per stage, shared with the bonds
     def space_fn(i):
         return lp_space(p, dim=i, label=f"{label}_{i}")
 
     def bond_fn(i):
-        rows = [[ONE if c == r else ZERO for c in range(i + 1)]
-                for r in range(i)]
-        return linear_map(space_fn(i + 1), space_fn(i), rows)
+        return LinearMap(space_fn(i + 1), space_fn(i), coords=tuple(range(i)))
 
     return space_fn, bond_fn
 
@@ -410,13 +408,13 @@ def l2_drop_system(max_stage) -> InverseSystem:
 def linf_padding_system(max_stage) -> DirectSystem:
     """E_i = linf^i with zero-padding bonds (isometrically injective);
     its dual is the l1 coordinate-drop inverse system."""
+    @functools.cache
     def space_fn(i):
         return lp_space("inf", dim=i, label=f"linfpad_{i}")
 
     def bond_fn(i):
-        rows = [[ONE if c == r else ZERO for c in range(i)]
-                for r in range(i + 1)]
-        return linear_map(space_fn(i), space_fn(i + 1), rows)
+        return LinearMap(space_fn(i), space_fn(i + 1),
+                         coords=tuple(range(i)) + (None,))
 
     return DirectSystem(space_fn, bond_fn, max_stage, "linf_pad")
 
@@ -500,12 +498,12 @@ def system_from_json(obj):
             for m in obj["bonds"]]
     n = len(spaces)
     if obj.get("kind", "inverse") == "direct":
-        bonds = [LinearMap(spaces[i], spaces[i + 1], mats[i])
+        bonds = [linear_map(spaces[i], spaces[i + 1], mats[i])
                  for i in range(n - 1)]
         return DirectSystem(lambda i: spaces[i - 1],
                             lambda i: bonds[i - 1], n,
                             obj.get("label", ""))
-    bonds = [LinearMap(spaces[i + 1], spaces[i], mats[i])
+    bonds = [linear_map(spaces[i + 1], spaces[i], mats[i])
              for i in range(n - 1)]
     return InverseSystem(lambda i: spaces[i - 1], lambda i: bonds[i - 1], n,
                          obj.get("label", ""),

@@ -170,3 +170,19 @@ def test_sup_norm_curve_with_linf_target():
                             (1.0, 2.0, 3.0, 4.0, 5.0))
     assert curve.lipschitz_bound == 5.0
     assert verify_lipschitz(curve)
+
+
+def test_c0_scan_at_depth_200():
+    """At the paper's depth the scan still matches the closed-form oracle
+    and still sees the sup-norm obstruction."""
+    curve = canonical_c0_curve(200)
+    ts = canonical_grid(100)[:4]
+    ms = range(4, 17)
+    rep = differentiability_scan(curve, ts, ms)
+    assert rep.eval_stage == 200
+    for t, row in zip(ts, rep.gaps):
+        for m, gap in zip(ms, row):
+            assert abs(gap - coordinate_gap_oracle(curve, t, m, 200)) <= 1e-9
+    assert set(rep.classifications) == {"obstructed"}
+    cv = difference_quotient(curve, ts[0], 2.0**-8, 200)
+    assert project(cv, 20) == cv.stages[-1][:20]

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from banachlim import linalg, linmap, space
 from banachlim.scalar import Q, ZERO, ONE, from_float, to_float
@@ -519,3 +520,86 @@ def test_min_norm_preimage_l1_equals_its_vpoly():
             linear_map(as_vpoly, lp_space(1, m), rows), v)
         assert val == val_v == norm_eval(src, u)
         assert linalg.mat_vec(linalg.mat(rows), u) == v
+
+
+def _side(draw, dim):
+    """A polytopal space of this dimension: weighted l1 or linf, or a
+    random H- or V-polytope."""
+    kind = draw(st.sampled_from(["1", "inf", "poly"]))
+    if kind == "poly":
+        return _rand_polytope_space(random.Random(draw(st.integers(0, 999))),
+                                    dim)
+    return lp_space(kind, weights=[Q(w, 2) for w in draw(
+        st.lists(st.integers(1, 4), min_size=dim, max_size=dim))])
+
+
+def _coords(draw, n, m):
+    """A random partial permutation from R^n to R^m: per target
+    coordinate, a distinct source index or None."""
+    perm = draw(st.permutations(range(max(n, m))))
+    return tuple(c if c < n and draw(st.booleans()) else None
+                 for c in perm[:m])
+
+
+def _dense(coords, n):
+    return tuple(tuple(ONE if j == c else ZERO for j in range(n))
+                 for c in coords)
+
+
+@st.composite
+def _coordinate_maps(draw):
+    """A drop, a padding or a partial permutation between polytopal spaces,
+    a coordinate map after it, and a source vector."""
+    shape = draw(st.sampled_from(["drop", "pad", "partial"]))
+    n = draw(st.integers(2 if shape == "drop" else 1, 4))
+    if shape == "drop":
+        coords = tuple(range(n - 1))
+    elif shape == "pad":
+        coords = tuple(range(n)) + (None,)
+    else:
+        coords = _coords(draw, n, draw(st.integers(1, 4)))
+    src, tgt = _side(draw, n), _side(draw, len(coords))
+    k = draw(st.integers(1, 4))
+    after = _coords(draw, len(coords), k)
+    x = tuple(Q(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+              for _ in range(n))
+    return src, tgt, coords, lp_space(1, k), after, x
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_coordinate_maps())
+def test_coordinate_maps_agree_with_their_matrices(case):
+    src, tgt, coords, third, after, x = case
+    dense = _dense(coords, src.dim)
+    C, D = LinearMap(src, tgt, coords=coords), LinearMap(src, tgt, dense)
+    assert C.matrix == dense and D.coords is None
+    assert C(x) == linalg.mat_vec(dense, x)
+    G = tuple((v, v + 1) for v in x)
+    assert C.mat_mul(G) == linalg.mat_mul(dense, G)
+    A = adjoint(C)
+    assert A.coords is not None and A.matrix == adjoint(D).matrix
+    y = tuple(Q(i - 1, 2) for i in range(tgt.dim))
+    assert A(y) == adjoint(D)(y)
+    S = LinearMap(tgt, third, coords=after)
+    SC = compose(S, C)
+    assert SC.coords is not None
+    assert SC.matrix == linalg.mat_mul(_dense(after, tgt.dim), dense)
+    assert compose(S, D).matrix == SC.matrix
+    assert operator_norm(C) == operator_norm(D)
+    assert is_quotient_map(C) == is_quotient_map(D)
+    assert is_isometric_embedding(C) == is_isometric_embedding(D)
+    # Rows read back (from JSON, say) take the coordinate form again.
+    assert linear_map(src, tgt, dense).coords == coords
+    assert map_to_json(C) == map_to_json(D)
+
+
+def test_coordinate_maps_check_their_input():
+    src, tgt = lp_space(1, 3), lp_space(1, 2)
+    with pytest.raises(ValueError, match="shape"):
+        LinearMap(src, tgt, coords=(1, 1))
+    with pytest.raises(ValueError, match="shape"):
+        LinearMap(src, tgt, coords=(0, 3))
+    with pytest.raises(ValueError, match="length"):
+        LinearMap(src, tgt, coords=(0, None))((ONE, ONE))
+    assert linear_map(src, tgt, [[1, 0, 0], [1, 0, 0]]).coords is None
+    assert linear_map(src, tgt, [[2, 0, 0], [0, 1, 0]]).coords is None

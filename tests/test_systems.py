@@ -1,11 +1,14 @@
+import hashlib
 import json
 import random
+import time
 
 import pytest
 
-from banachlim import linalg
+from banachlim import linalg, linmap
 from banachlim.scalar import Q, ZERO, ONE
-from banachlim.linmap import is_isometric_embedding, is_quotient_map, linear_map
+from banachlim.linmap import (is_isometric_embedding, is_one_lipschitz,
+                              is_quotient_map, linear_map, operator_norm)
 from banachlim.space import norm_eval, norm_eval_sq, lp_space
 from banachlim.systems import (CompatibleVector, DirectSystem, InverseSystem,
                                StageError, SubspaceGenerator, cv_scale, cv_sub,
@@ -17,7 +20,7 @@ from banachlim.systems import (CompatibleVector, DirectSystem, InverseSystem,
                                pairing_isometry_check, project,
                                random_quotient_system, stage_norms,
                                system_from_json, system_to_json,
-                               validate_standard)
+                               validate_standard, BUILTIN_SYSTEMS)
 
 
 def _rand_tail(rng, dim, lo=-3, hi=3):
@@ -47,6 +50,39 @@ def test_validate_scaled_bond_fails():
     assert verdicts[0].lipschitz_ok
     assert not verdicts[1].lipschitz_ok
     assert verdicts[1].witness is not None
+
+
+def test_validate_computes_each_route_once(monkeypatch):
+    """One operator-norm route per bond, failing or not; the verdicts and
+    witnesses are is_one_lipschitz's and operator_norm's."""
+    base = l1_drop_system(6)
+    scales = [2, 1, Q(3, 2), 1, 3]
+
+    def bond(i):
+        T = base.bond(i)
+        return linear_map(T.source, T.target, [[scales[i - 1] * v for v in row]
+                                               for row in T.matrix])
+
+    scaled = InverseSystem(base.stage, bond, 6, "scaled")
+    l2 = l2_drop_system(3)
+    l2_bad = InverseSystem(l2.stage, lambda i: linear_map(
+        l2.stage(i + 1), l2.stage(i), [[2 * v for v in row]
+                                       for row in l2.bond(i).matrix]), 3)
+    for system, routes in ((scaled, 5), (l2_bad, 0)):
+        want = []
+        for i in range(1, system.max_stage):
+            ok = is_one_lipschitz(system.bond(i))
+            want.append((ok, None if ok else
+                         operator_norm(system.bond(i)).witness))
+        calls = []
+        route = linmap._route_norm
+        monkeypatch.setattr(linmap, "_route_norm",
+                            lambda T: calls.append(T) or route(T))
+        got = [(v.lipschitz_ok, v.witness) for v in validate_standard(system)]
+        monkeypatch.setattr(linmap, "_route_norm", route)
+        assert got == want
+        assert len(calls) == routes
+    assert [ok for ok, _ in want] == [False, False]
 
 
 def test_validate_random_quotient_system():
@@ -140,6 +176,18 @@ def test_bad_compatible_vector_rejected():
     sys3 = l1_drop_system(3)
     with pytest.raises(StageError):
         CompatibleVector(sys3, ((ONE,), (ZERO, ZERO), (ZERO, ZERO, ZERO)))
+
+
+def test_wrong_stage_rejected_at_depth():
+    M = 60
+    system = linf_drop_system(M)
+    tail = tuple(Q(k, 7) for k in range(M))
+    for k in (1, 30, M):
+        stages = [tail[:i] for i in range(1, M + 1)]
+        stages[k - 1] = (tail[0] + 1,) + stages[k - 1][1:]
+        with pytest.raises(StageError, match="compatibility"):
+            CompatibleVector(system, tuple(stages))
+    CompatibleVector(system, tuple(tail[:i] for i in range(1, M + 1)))
 
 
 def test_lift_min_norm_l1():
@@ -330,6 +378,39 @@ def test_system_json_roundtrip_builtin():
     assert system_to_json(sys6b) == blob
 
 
+# sha256 of json.dumps(system_to_json(builtin(7))) with the bonds stored
+# as dense matrices, before they took the coordinate form.
+_DENSE_BOND_JSON = {
+    "l1_drop":
+        "dd92f40e8f9960d7893a7e2af53e58a5c158a0a55c7e38330d0367d9351d55d7",
+    "l2_drop":
+        "34a19d3d3ae49af4ec6228d15fa79e9955edcac51466d2b94d6519dd0d980f6d",
+    "linf_drop":
+        "d79db1ced1eac2c22e75dedf1a86c615c64a3a9e918282a3dfcc219c154a3f03",
+    "linf_padding":
+        "997051b4215e0f2cc20d102edeccf0998f1a9226f63f0d1c1483203fa7096eac",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_BOND_JSON))
+def test_coordinate_bonds_serialise_as_dense_ones(name):
+    system = BUILTIN_SYSTEMS[name](7)
+    blob = json.dumps(system_to_json(system))
+    assert hashlib.sha256(blob.encode()).hexdigest() == _DENSE_BOND_JSON[name]
+    pad = name == "linf_padding"
+    for i in range(1, 7):
+        want = tuple(range(i)) + ((None,) if pad else ())
+        assert system.bond(i).coords == want
+        want_rows = [["1" if c == r else "0" for c in range(i + 1 - pad)]
+                     for r in range(len(want))]
+        assert system_to_json(system)["bonds"][i - 1] == want_rows
+    # A drop or padding system read from a job file gets coordinate bonds.
+    back = system_from_json(json.loads(blob))
+    assert [back.bond(i).coords for i in range(1, 7)] == [
+        system.bond(i).coords for i in range(1, 7)]
+    assert json.dumps(system_to_json(back)) == blob
+
+
 def test_system_json_roundtrip_random():
     sysr = random_quotient_system(23, 4)
     blob = system_to_json(sysr)
@@ -346,3 +427,28 @@ def test_l2_drop_monotone_square_norms():
         sq = [norm_eval_sq(sysM.stage(j), project(cv, j))
               for j in range(1, 9)]
         assert all(sq[j] <= sq[j + 1] for j in range(7))
+
+
+@pytest.mark.parametrize("build", [l1_drop_system, linf_drop_system,
+                                   l2_drop_system])
+def test_stage_depth_200(build):
+    """One vector and its stage norms at the paper's depth, checked
+    against prefix sums, prefix maxima and exact squares."""
+    M = 200
+    rng = random.Random(200)
+    tail = _rand_tail(rng, M, -6, 6)
+    start = time.perf_counter()
+    cv = compatible_from_tail(build(M), tail)
+    norms = stage_norms(cv).norms
+    elapsed = time.perf_counter() - start
+    assert cv.stages == tuple(tail[:i] for i in range(1, M + 1))
+    total = peak = square = ZERO
+    for x, n in zip(tail, norms):
+        total, peak, square = total + abs(x), max(peak, abs(x)), square + x * x
+        if build is l1_drop_system:
+            assert n == total
+        elif build is linf_drop_system:
+            assert n == peak
+        else:
+            assert abs(n * n - square) <= square * Q(1, 2**40)
+    assert elapsed < 5.0, elapsed
