@@ -674,6 +674,15 @@ def _common_stage(seq):
     return min(cv.top_stage for cv in seq)
 
 
+def _stage_norms(seq, i):
+    """||pi_i v_k|| per term, once per run of equal consecutive vectors."""
+    space, pts = seq[0].system.stage(i), [project(cv, i) for cv in seq]
+    norms = [norm_eval(space, pts[0])]
+    for prev, w in zip(pts, pts[1:]):
+        norms.append(norms[-1] if w == prev else norm_eval(space, w))
+    return norms
+
+
 def dp_diagnostic(seq, tol=Q(1, 10**6)) -> SequenceDiagnostics:
     """Uniformity profile of the stagewise norm convergence, with the
     stage-M norm standing in for the limit norm: u_i is the worst gap
@@ -683,14 +692,9 @@ def dp_diagnostic(seq, tol=Q(1, 10**6)) -> SequenceDiagnostics:
     u_{N_l} < 1/l while they exist within the truncation."""
     M = _common_stage(seq)
     tol = Q(tol)
-    system = seq[0].system
-    top = system.stage(M)
-    norms_m = [norm_eval(top, project(cv, M)) for cv in seq]
-    profile = []
-    for i in range(1, M + 1):
-        space = system.stage(i)
-        profile.append(max(nm - norm_eval(space, project(cv, i))
-                           for nm, cv in zip(norms_m, seq)))
+    norms_m = _stage_norms(seq, M)
+    profile = [max(nm - n for nm, n in zip(norms_m, _stage_norms(seq, i)))
+               for i in range(1, M)] + [ZERO]     # u_M = 0 exactly
     blocks = []
     stage = 1
     for level in range(1, M + 1):
@@ -714,22 +718,20 @@ def anp_diagnostic(seq, tol=Q(1, 10**6)) -> SequenceDiagnostics:
     included for contrast."""
     M = _common_stage(seq)
     tol = Q(tol)
-    system = seq[0].system
-    top = system.stage(M)
+    top = seq[0].system.stage(M)
     rep = invlim_convergence(seq, tol)
     if not rep.converges:
         return SequenceDiagnostics(eval_stage=M, tol=tol,
                                    weak_star_convergent=False,
                                    norm_converges=False)
     w = rep.stage_limits[M - 1]
-    nw = norm_eval(top, w)
-    residuals = tuple(abs(norm_eval(top, project(cv, M)) - nw) for cv in seq)
-    strong = tuple(norm_eval(top, linalg.vec_sub(project(cv, M), w))
-                   for cv in seq)
-    norm_conv = any(all(r < tol for r in residuals[k:])
-                    for k in range(len(residuals) - 1))
-    strong_conv = any(all(r < tol for r in strong[k:])
-                      for k in range(len(strong) - 1))
+    norms = _stage_norms(seq, M)
+    residuals = tuple(abs(n - norms[-1]) for n in norms)
+    strong = tuple(ZERO if v == w else norm_eval(top, linalg.vec_sub(v, w))
+                   for v in (project(cv, M) for cv in seq))
+    # Some tail of at least two residuals < tol: so the last two are.
+    norm_conv, strong_conv = (len(seq) > 1 and all(r < tol for r in rs[-2:])
+                              for rs in (residuals, strong))
     return SequenceDiagnostics(
         eval_stage=M, tol=tol, weak_star_convergent=True, stage_limit=w,
         norm_residuals=residuals, norm_converges=norm_conv,
@@ -768,24 +770,21 @@ def _equivalence(seq, tol, dp, anp) -> EquivalenceReport:
     M = _common_stage(seq)
     system = seq[0].system
     top = system.stage(M)
-    w = anp.stage_limit
-    nw = norm_eval(top, w)
+    nw = norm_eval(top, anp.stage_limit)
     third = tol if tol > 0 else Q(1, 10**12)
-    stage_i = M
-    for i in range(1, M + 1):
-        if nw - norm_eval(system.stage(i), project(seq[-1], i)) < third:
-            stage_i = i
-            break
+    stage_i = next((i for i in range(1, M + 1) if nw - norm_eval(
+        system.stage(i), project(seq[-1], i)) < third), M)
     space_i = system.stage(stage_i)
     wi = project(seq[-1], stage_i)
-    onset_k = len(seq) - 1
-    for k in range(len(seq)):
-        if all(norm_eval(space_i,
-                         linalg.vec_sub(project(cv, stage_i), wi)) < third
-               and abs(norm_eval(top, project(cv, M)) - nw) < third
-               for cv in seq[k:]):
-            onset_k = k
-            break
+
+    def unsettled(cv):
+        return (norm_eval(space_i, linalg.vec_sub(project(cv, stage_i), wi))
+                >= third or abs(norm_eval(top, project(cv, M)) - nw) >= third)
+
+    # One past the last unsettled term, found from the end (the last index
+    # when that term is the last).
+    bad = next((k for k in reversed(range(len(seq))) if unsettled(seq[k])), -1)
+    onset_k = min(bad + 1, len(seq) - 1)
     cv = seq[onset_k]
     nk = norm_eval(top, project(cv, M))
     nik = norm_eval(space_i, project(cv, stage_i))

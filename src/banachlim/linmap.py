@@ -340,11 +340,12 @@ def _min_preimage_norm_sq(C: LinearMap):
     return lambda v: gauge(v) ** 2
 
 
-def _covering_verdict(T: LinearMap, C: LinearMap, reason) -> MapVerdict:
-    """||T|| <= 1, and the surjective C (T, or T*) covers its target ball:
-    every listed extreme point of it has a preimage of norm <= 1 (enough by
-    convexity; a listed point that is not extreme is covered too)."""
-    lip = lipschitz_verdict(T)
+def _covering_verdict(T: LinearMap, C: LinearMap, reason, lip=None):
+    """||T|| <= 1 (lip: its lipschitz_verdict, when known), and the
+    surjective C (T, or T*) covers its target ball: every listed extreme
+    point of it has a preimage of norm <= 1 (enough by convexity; a listed
+    point that is not extreme is covered too)."""
+    lip = lipschitz_verdict(T) if lip is None else lip
     if not lip.verdict:
         return lip
     norm_sq = _min_preimage_norm_sq(C)
@@ -357,11 +358,16 @@ def _covering_verdict(T: LinearMap, C: LinearMap, reason) -> MapVerdict:
 def is_quotient_map(T: LinearMap) -> MapVerdict:
     """Surjective, 1-Lipschitz, and T covers the target ball: T maps the
     source ball onto it."""
+    return _quotient_verdict(T)
+
+
+def _quotient_verdict(T: LinearMap, lip=None) -> MapVerdict:
+    """is_quotient_map(T), given lip = lipschitz_verdict(T) when known."""
     if _is_l2(T.target):
         raise NormSpecError("quotient verdict needs a polytopal target ball")
     if not is_surjective(T):
         return MapVerdict(False, reason="not surjective")
-    return _covering_verdict(T, T, "min preimage norm != target norm")
+    return _covering_verdict(T, T, "min preimage norm != target norm", lip)
 
 
 def is_isometric_embedding(T: LinearMap) -> MapVerdict:

@@ -279,9 +279,9 @@ def norm_eval(space: NormedSpace, x):
 def norm_eval_sq(space: NormedSpace, x):
     """Exact square of the norm (rational for every spec, incl. l2)."""
     spec = space.spec
-    if isinstance(spec, LpNorm) and spec.p == "2":
+    if isinstance(spec, LpNorm) and spec.p == "2" and len(x) == space.dim:
         return sum((t * t for t in spec.weigh(linalg.vec(x))), ZERO)
-    n = norm_eval(space, x)
+    n = norm_eval(space, x)     # raises DimensionMismatch on a bad length
     return n * n
 
 

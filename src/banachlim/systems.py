@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .scalar import Q, format_scalar, parse_scalar
-from .linmap import (LinearMap, adjoint, is_quotient_map, lipschitz_verdict,
-                     linear_map, min_norm_preimage)
+from .scalar import Q, ZERO, format_scalar, parse_scalar
+from .linmap import (LinearMap, _quotient_verdict, adjoint, is_quotient_map,
+                     lipschitz_verdict, linear_map, min_norm_preimage)
 from .space import (NormedSpace, ball_extreme_points, dual_space, lp_space,
                     norm_eval, norm_eval_sq, space_from_json, space_to_json,
                     vpoly_space)
@@ -75,7 +75,7 @@ class StageVerdict:
 
 def validate_standard(system):
     """Exact per-bond verdicts: operator norm <= 1, and (for quotient
-    systems) the quotient-map verdict."""
+    systems) the quotient-map verdict, reusing that operator norm."""
     out = []
     quotient = isinstance(system, InverseSystem) and system.is_quotient_system
     for i in range(1, system.max_stage):
@@ -84,7 +84,7 @@ def validate_standard(system):
         lip, witness = lv.verdict, lv.witness
         q_ok = None
         if quotient and lip:
-            qv = is_quotient_map(T)
+            qv = _quotient_verdict(T, lv)
             q_ok = qv.verdict
             if not q_ok:
                 witness = qv.witness
@@ -249,30 +249,44 @@ class ConvergenceReport:
     converges: bool
 
 
+def _dist_sq(space, a, b):
+    """||a - b||^2 (d <= tol iff d^2 <= tol |tol|); free for a == b."""
+    return ZERO if a == b else norm_eval_sq(space, linalg.vec_sub(a, b))
+
+
+def _cauchy_onset(seq, j, tol_sq):
+    """Least K <= len(seq) - 2 with the stage-j vectors p_k of seq[K:]
+    pairwise within tol, else None.  Rows K are scanned from the end; the
+    first with a far pair gives K + 1.  With s_k = ||p_k - p_last||^2, a
+    pair with 2 (s_a + s_b) <= tol^2 is within tol, as
+    (sqrt(s_a) + sqrt(s_b))^2 <= 2 (s_a + s_b)."""
+    space, pts = seq[0].system.stage(j), [project(cv, j) for cv in seq]
+    n, s = len(pts), [None] * len(pts)
+    for K in range(n - 2, -1, -1):
+        s[K] = _dist_sq(space, pts[K], pts[-1])
+        if s[K] > tol_sq or not all(
+                2 * (s[K] + s[b]) <= tol_sq
+                or _dist_sq(space, pts[K], pts[b]) <= tol_sq
+                for b in range(K + 1, n - 1)):
+            return K + 1 if K + 1 < n - 1 else None
+    return 0 if n > 1 else None
+
+
 def invlim_convergence(seq, tol) -> ConvergenceReport:
     """Stagewise Cauchy check: stage j passes if from some onset K on, all
-    pairwise distances are <= tol (at least two tail elements required)."""
+    pairwise distances are <= tol (at least two tail elements required),
+    decided on exact squares."""
     if not seq:
         raise ValueError("empty sequence")
-    system = seq[0].system
     M = min(cv.top_stage for cv in seq)
     tol = Q(tol)
-    cauchy, limits, onsets = [], [], []
-    for j in range(1, M + 1):
-        space = system.stage(j)
-        pts = [project(cv, j) for cv in seq]
-        onset = None
-        for K in range(0, len(pts) - 1):
-            tail = pts[K:]
-            if all(norm_eval(space, linalg.vec_sub(a, b)) <= tol
-                   for idx, a in enumerate(tail) for b in tail[idx + 1:]):
-                onset = K
-                break
-        cauchy.append(onset is not None)
-        onsets.append(onset)
-        limits.append(pts[-1] if onset is not None else None)
-    return ConvergenceReport(tuple(cauchy), tuple(limits), tuple(onsets),
-                             all(cauchy))
+    onsets = tuple(_cauchy_onset(seq, j, tol * abs(tol))
+                   for j in range(1, M + 1))
+    return ConvergenceReport(
+        tuple(k is not None for k in onsets),
+        tuple(None if k is None else project(seq[-1], j)
+              for j, k in enumerate(onsets, start=1)),
+        onsets, None not in onsets)
 
 
 def diagonal_subsequence(seq, eps):
@@ -284,6 +298,7 @@ def diagonal_subsequence(seq, eps):
     M = min(cv.top_stage for cv in seq)
     idxs = list(range(len(seq)))
     eps = Q(eps)
+    eps_sq = eps * abs(eps)
     for j in range(1, M + 1):
         space = system.stage(j)
         # Greedy eps-net clustering; keep the largest cluster.
@@ -291,7 +306,7 @@ def diagonal_subsequence(seq, eps):
         for k in idxs:
             pt = project(seq[k], j)
             for rep, members in clusters:
-                if norm_eval(space, linalg.vec_sub(pt, rep)) <= eps:
+                if _dist_sq(space, pt, rep) <= eps_sq:
                     members.append(k)
                     break
             else:

@@ -11,6 +11,7 @@ import random
 from banachlim import linalg
 from banachlim.scalar import Q, ZERO, ONE, to_float
 from banachlim.simplex import LinearProgram, OPTIMAL
+from banachlim.space import norm_eval, norm_eval_sq
 
 
 def hull_contains(vertices, x):
@@ -85,3 +86,87 @@ def random_spanning_vectors(rng, dim, count, lo=-3, hi=3, den=4):
         if linalg.rank(vecs) == dim and all(any(x != 0 for x in v)
                                             for v in vecs):
             return vecs
+
+
+def sequence_diagnostics_reference(seq, tol):
+    """invlim_convergence, dp_diagnostic, anp_diagnostic and
+    equivalence_witness by their forward definitions, every pair decided on
+    exact squares (O(K^3) norm evaluations per stage): the least onset K
+    whose whole tail is pairwise within tol, and the least k from which
+    every term is settled.  The equivalence fields are None when the
+    sequence is not stagewise convergent."""
+    system = seq[0].system
+    M = min(cv.top_stage for cv in seq)
+    tol = Q(tol)
+
+    def within(space, a, b):
+        return tol >= 0 and norm_eval_sq(
+            space, linalg.vec_sub(a, b)) <= tol * tol
+
+    onsets = []
+    for j in range(1, M + 1):
+        pts = [cv.stages[j - 1] for cv in seq]
+        onsets.append(next((K for K in range(len(pts) - 1) if all(
+            within(system.stage(j), a, b)
+            for i, a in enumerate(pts[K:]) for b in pts[K + i + 1:])), None))
+    converges = all(k is not None for k in onsets)
+    limits = tuple(None if k is None else seq[-1].stages[j]
+                   for j, k in enumerate(onsets))
+    top = system.stage(M)
+    norms_m = [norm_eval(top, cv.stages[M - 1]) for cv in seq]
+    profile = tuple(max(nm - norm_eval(system.stage(i), cv.stages[i - 1])
+                        for nm, cv in zip(norms_m, seq))
+                    for i in range(1, M + 1))
+    out = {"onsets": tuple(onsets), "stage_limits": limits,
+           "converges": converges, "uniformity": profile,
+           "norm_residuals": None, "strong_residuals": None,
+           "norm_converges": False, "strong_converges": None,
+           "stage_i": None, "onset_k": None, "terms": None}
+    if not converges:
+        return out
+    w = seq[-1].stages[M - 1]
+    nw = norm_eval(top, w)
+    out["norm_residuals"] = tuple(abs(n - nw) for n in norms_m)
+    out["strong_residuals"] = tuple(
+        norm_eval(top, linalg.vec_sub(cv.stages[M - 1], w)) for cv in seq)
+    for key in ("norm", "strong"):
+        rs = out[key + "_residuals"]
+        out[key + "_converges"] = any(all(r < tol for r in rs[k:])
+                                      for k in range(len(rs) - 1))
+    third = tol if tol > 0 else Q(1, 10**12)
+    stage_i = next((i for i in range(1, M + 1) if nw - norm_eval(
+        system.stage(i), seq[-1].stages[i - 1]) < third), M)
+    space_i = system.stage(stage_i)
+    wi = seq[-1].stages[stage_i - 1]
+    onset_k = next((k for k in range(len(seq)) if all(
+        norm_eval(space_i, linalg.vec_sub(cv.stages[stage_i - 1], wi)) < third
+        and abs(norm_eval(top, cv.stages[M - 1]) - nw) < third
+        for cv in seq[k:])), len(seq) - 1)
+    nk = norms_m[onset_k]
+    nik = norm_eval(space_i, seq[onset_k].stages[stage_i - 1])
+    niw = norm_eval(space_i, wi)
+    out.update(stage_i=stage_i, onset_k=onset_k,
+               terms=(nk - nik, nik - niw, niw - nw))
+    return out
+
+
+def greedy_cluster_reference(seq, eps):
+    """diagonal_subsequence by its definition, distances decided on exact
+    squares: per stage, each kept index joins the first cluster whose
+    representative is within eps, and the largest cluster is kept."""
+    system = seq[0].system
+    eps = Q(eps)
+    idxs = list(range(len(seq)))
+    for j in range(1, min(cv.top_stage for cv in seq) + 1):
+        space = system.stage(j)
+        clusters = []
+        for k in idxs:
+            pt = seq[k].stages[j - 1]
+            home = next((c for c in clusters if eps >= 0 and norm_eval_sq(
+                space, linalg.vec_sub(pt, c[0])) <= eps * eps), None)
+            if home is None:
+                clusters.append((pt, [k]))
+            else:
+                home[1].append(k)
+        idxs = max((members for _, members in clusters), key=len)
+    return sorted(idxs)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,7 +10,8 @@ from banachlim.space import (ball_extreme_points, hpoly_space, lp_space,
 from banachlim.linmap import linear_map
 from banachlim.systems import (InverseSystem, SubspaceGenerator,
                                compatible_from_tail, generator_from_tail,
-                               l1_drop_system, linf_drop_system, project,
+                               invlim_convergence, l1_drop_system,
+                               l2_drop_system, linf_drop_system, project,
                                random_quotient_system)
 from banachlim.determining import (CertifyConfig, DeterminingQuery,
                                    RhoSchedule, SearchConfig, anp_diagnostic,
@@ -424,3 +426,87 @@ def test_min_on_cube_sphere_matches_extreme_point_oracle():
             top = max(max(abs(c) for c in e)
                       for e in ball_extreme_points(space))
             assert _min_on_cube_sphere(space) == 1 / top
+
+
+# ---------------------------------------------------------------------------
+# Sequence diagnostics against the forward definitions
+
+def _settling_sequence(rng, system, K, delta, stab=None):
+    """K compatible vectors: the first stab terms (random by default) move
+    one coordinate of a base tail by up to 3/2, later ones are the base tail
+    itself, an equal copy built from fresh scalars, or the base moved by
+    delta times 1/4, 1/2, 3/5, 1 or 2 (two moves by 3/5 delta in opposite
+    directions are each within delta of the base, but 6/5 delta apart)."""
+    dim = system.stage(system.max_stage).dim
+    base = [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+    stab = rng.randint(0, K) if stab is None else stab
+    seq = []
+    for k in range(K):
+        tail = list(base)
+        roll = rng.random()
+        if k < stab:
+            tail[rng.randrange(dim)] += Q(rng.randint(-3, 3), 2)
+        elif roll < 0.25:
+            tail = [Q(x.numerator, x.denominator) for x in base]
+        elif roll < 0.75:
+            tail[rng.randrange(dim)] += (rng.choice([-1, 1]) * delta
+                                         * rng.choice([Q(1, 4), HALF, Q(3, 5),
+                                                       ONE, 2]))
+        seq.append(compatible_from_tail(system, tail))
+    return seq
+
+
+def test_sequence_diagnostics_match_the_forward_definitions():
+    """Scans from the end, equal-vector skips and triangle-inequality
+    pruning give the forward definitions' onsets, limits, profiles,
+    residuals and witness on 336 sequences."""
+    from oracles import sequence_diagnostics_reference
+    builders = [lambda M, _: l1_drop_system(M),
+                lambda M, _: linf_drop_system(M),
+                lambda M, _: l2_drop_system(M),
+                lambda M, seed: random_quotient_system(seed, M)]
+    rng = random.Random(7)
+    count = 0
+    for seed in range(7):
+        for build in builders:
+            system = build(rng.randint(2, 6), seed)
+            for K in (1, 2, 3, 15):
+                for tol in (Q(-1, 10**6), ZERO, Q(1, 10**6)):
+                    seq = _settling_sequence(rng, system, K,
+                                             abs(tol) or Q(1, 10**6))
+                    want = sequence_diagnostics_reference(seq, tol)
+                    rep = invlim_convergence(seq, tol)
+                    assert (rep.onsets, rep.stage_limits, rep.converges) == (
+                        want["onsets"], want["stage_limits"],
+                        want["converges"])
+                    assert dp_diagnostic(seq, tol).uniformity == \
+                        want["uniformity"]
+                    anp = anp_diagnostic(seq, tol)
+                    for key in ("norm_residuals", "strong_residuals",
+                                "norm_converges", "strong_converges"):
+                        assert getattr(anp, key) == want[key], key
+                    if want["converges"]:
+                        eq = equivalence_witness(seq, tol)
+                        assert (eq.stage_i, eq.onset_k, eq.terms) == (
+                            want["stage_i"], want["onset_k"], want["terms"])
+                    else:
+                        with pytest.raises(ValueError):
+                            equivalence_witness(seq, tol)
+                    count += 1
+    assert count == 336
+
+
+def test_anp_dp_at_depth_200():
+    """Both sequence diagnostics on 15 compatible vectors of l1^200 in the
+    stages workload's shape (4-10 moved terms, then moves far below tol),
+    within 3 s."""
+    rng = random.Random(200)
+    system = l1_drop_system(200)
+    seq = _settling_sequence(rng, system, 15, Q(1, 10**9),
+                             stab=rng.randint(4, 10))
+    start = time.perf_counter()
+    dp = dp_diagnostic(seq)
+    anp = anp_diagnostic(seq)
+    elapsed = time.perf_counter() - start
+    assert dp.eval_stage == anp.eval_stage == 200
+    assert elapsed < 3.0, elapsed

@@ -11,7 +11,8 @@ from banachlim.scalar import Q, ZERO, ONE, to_float
 from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              NormedSpace, NormSpecError, VPolytope,
                              ball_extreme_points, dual_space, hpoly_space,
-                             lp_space, norm_eval, _halfspace_vertices,
+                             lp_space, norm_eval, norm_eval_sq,
+                             _halfspace_vertices,
                              space_from_json, space_to_json,
                              validate_norm_spec, vpoly_space)
 
@@ -42,6 +43,15 @@ def test_dimension_mismatch():
     S = lp_space(1, dim=2)
     with pytest.raises(DimensionMismatch):
         norm_eval(S, (ONE,))
+
+
+@pytest.mark.parametrize("p", [1, 2, "inf"])
+@pytest.mark.parametrize("x", [(ONE,), (ONE, ONE, ONE, ONE)])
+def test_norm_eval_sq_dimension_mismatch(p, x):
+    """The exact square checks the length on every norm, l2 included
+    (a truncating zip once gave ||(1,)||^2 = 1 in l2^3)."""
+    with pytest.raises(DimensionMismatch):
+        norm_eval_sq(lp_space(p, dim=3), x)
 
 
 def test_validate_norm_degenerate():

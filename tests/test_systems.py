@@ -53,7 +53,8 @@ def test_validate_scaled_bond_fails():
 
 
 def test_validate_computes_each_route_once(monkeypatch):
-    """One operator-norm route per bond, failing or not; the verdicts and
+    """One operator-norm route per bond, failing or not, and on a quotient
+    system also when the quotient verdict follows; the verdicts and
     witnesses are is_one_lipschitz's and operator_norm's."""
     base = l1_drop_system(6)
     scales = [2, 1, Q(3, 2), 1, 3]
@@ -68,7 +69,7 @@ def test_validate_computes_each_route_once(monkeypatch):
     l2_bad = InverseSystem(l2.stage, lambda i: linear_map(
         l2.stage(i + 1), l2.stage(i), [[2 * v for v in row]
                                        for row in l2.bond(i).matrix]), 3)
-    for system, routes in ((scaled, 5), (l2_bad, 0)):
+    for system, routes in ((l1_drop_system(6), 5), (scaled, 5), (l2_bad, 0)):
         want = []
         for i in range(1, system.max_stage):
             ok = is_one_lipschitz(system.bond(i))
@@ -78,9 +79,12 @@ def test_validate_computes_each_route_once(monkeypatch):
         route = linmap._route_norm
         monkeypatch.setattr(linmap, "_route_norm",
                             lambda T: calls.append(T) or route(T))
-        got = [(v.lipschitz_ok, v.witness) for v in validate_standard(system)]
+        verdicts = validate_standard(system)
         monkeypatch.setattr(linmap, "_route_norm", route)
-        assert got == want
+        assert [(v.lipschitz_ok, v.witness) for v in verdicts] == want
+        assert [v.quotient_ok for v in verdicts] == [
+            True if system.is_quotient_system and ok else None
+            for ok, _ in want]
         assert len(calls) == routes
     assert [ok for ok, _ in want] == [False, False]
 
@@ -323,6 +327,34 @@ def test_diagonal_subsequence_extraction():
     sub = diagonal_subsequence(seq, Q(1, 4))
     assert len(sub) >= 2
     assert invlim_convergence(sub, Q(1, 2)).converges
+
+
+def test_diagonal_subsequence_matches_greedy_clustering():
+    """Exact squares and equal-point skips keep the greedy clustering of
+    the definition, on every norm kind and for eps < 0, = 0 and > 0 (moves
+    of exactly eps = 1/10 put l2 points on the boundary, where a rational
+    shadow of the square root exceeds eps)."""
+    from oracles import greedy_cluster_reference
+    rng = random.Random(103)
+    for trial in range(48):
+        M = rng.randint(2, 5)
+        system = [l1_drop_system, linf_drop_system, l2_drop_system,
+                  lambda M: random_quotient_system(trial, M)][trial % 4](M)
+        dim = system.stage(M).dim
+        eps = [Q(-1, 10), ZERO, Q(1, 10), Q(3, 10)][trial // 4 % 4]
+        bases = [_rand_tail(rng, dim, -2, 2) for _ in range(3)]
+        seq = []
+        for _ in range(rng.randint(1, 12)):
+            tail = list(rng.choice(bases))
+            if rng.random() < 0.6:
+                tail[rng.randrange(dim)] += Q(rng.choice([-3, -1, 1, 3]), 10)
+            elif rng.random() < 0.5:
+                tail = [Q(x.numerator, x.denominator) for x in tail]
+            seq.append(compatible_from_tail(system, tail))
+        want = [seq[k] for k in greedy_cluster_reference(seq, eps)]
+        got = diagonal_subsequence(seq, eps)
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
 
 
 def test_direct_limit_norm_isometric():
