@@ -66,6 +66,12 @@ class SearchConfig:
     seed: int = 0
     max_den: int = 10**6
 
+    def __post_init__(self):
+        for name, least in (("starts", 0), ("iters", 0), ("max_den", 1)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < least:
+                raise ValueError(f"search {name} must be an int >= {least}")
+
 
 @dataclass(frozen=True)
 class CertifyConfig:
@@ -183,17 +189,17 @@ def _float_norm_fn(space: NormedSpace):
         if spec.p == "inf":
             return lambda Y: np.abs(Y * w).max(axis=-1)
         return lambda Y: np.sqrt(((Y * w) ** 2).sum(axis=-1))
-    if spec.kind == "hpoly":
-        A = np.array([[to_float(c) for c in row] for row in spec.functionals])
-        return lambda Y: np.abs(Y @ A.T).max(axis=-1)
-    D = np.array([[to_float(c) for c in v]
-                  for v in ball_extreme_points(dual_space(space))])
-    return lambda Y: np.abs(Y @ D.T).max(axis=-1)
+    rows = (spec.functionals if spec.kind == "hpoly"
+            else ball_extreme_points(dual_space(space)))
+    A = np.array([[to_float(c) for c in row] for row in rows]).T
+    # One matrix-vector product per row: a batch gives each row the float
+    # value it gets alone (a matrix product may round differently).
+    return lambda Y: np.abs(np.matmul(Y[..., None, :], A)).max(axis=(-2, -1))
 
 
 class _FloatQuery:
     """Float shadow of a query: stage matrices and norm evaluators for
-    stages 1..N and M, plus the normalized violation margin."""
+    stages 1..N and M, plus the normalized violation margins of pairs."""
 
     def __init__(self, q: DeterminingQuery):
         self.N = q.rho.length
@@ -208,26 +214,25 @@ class _FloatQuery:
         self.norm = {i: _float_norm_fn(q.system.stage(i))
                      for i in self.stages}
 
-    def margin(self, a, b):
-        """min over all constraint slacks and the separation term after
-        scaling max(nu(a), nu(b)) to 1; > 0 flags a violating pair."""
-        va = {i: self.G[i] @ a for i in self.stages}
-        vb = {i: self.G[i] @ b for i in self.stages}
-        nu_a = float(self.norm[self.M](va[self.M]))
-        nu_b = float(self.norm[self.M](vb[self.M]))
-        s = max(nu_a, nu_b)
-        if s < 1e-12:
-            return -1.0
-        terms = []
+    def margins(self, A, B):
+        """Margins of the pairs (A[r], B[r]), one per row: the min of all
+        constraint slacks and the separation term after scaling
+        max(nu(a), nu(b)) to 1; > 0 flags a violating pair.  Each row gets
+        the value it gets alone (rounding commutes with the min)."""
+        n = len(A)
+        X = np.concatenate([A, B])[:, :, None]
+        # Row-wise matrix-vector products, as in _float_norm_fn.
+        V = {i: np.matmul(self.G[i], X)[:, :, 0] for i in self.stages}
+        nu = self.norm[self.M](V[self.M])
+        s = np.maximum(nu[:n], nu[n:])
+        low = np.full(2 * n, np.inf)
         for i in range(1, self.N + 1):
-            r = self.rho[i - 1]
-            terms.append((float(self.norm[i](va[i])) - (1 - r) * nu_a) / s)
-            terms.append((float(self.norm[i](vb[i])) - (1 - r) * nu_b) / s)
-        terms.append((s / self.N
-                      - float(self.norm[self.N](va[self.N] - vb[self.N]))) / s)
-        terms.append((float(self.norm[self.M](va[self.M] - vb[self.M]))
-                      - self.eps * s) / s)
-        return min(terms)
+            low = np.minimum(low, self.norm[i](V[i])
+                             - (1 - self.rho[i - 1]) * nu)
+        prox = s / self.N - self.norm[self.N](V[self.N][:n] - V[self.N][n:])
+        sep = self.norm[self.M](V[self.M][:n] - V[self.M][n:]) - self.eps * s
+        top = np.minimum(np.minimum(low[:n], low[n:]), np.minimum(prox, sep))
+        return np.divide(top, s, out=np.full(n, -1.0), where=s >= 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -245,75 +250,70 @@ class SearchReport:
 
 def eps_determining_search(q: DeterminingQuery) -> SearchReport:
     """Multistart pattern search for a violating pair, maximizing the
-    normalized margin.  Returned counterexamples are exactly re-verified;
-    a not-found report carries the best near-miss and certifies nothing."""
+    normalized margin.  The starts (2d(d-1) axis pairs, then
+    ``search.starts`` Gaussian ones) run in lockstep: at each tick every
+    running start polls the next coordinate and sign of its sweep, and
+    one ``margins`` call scores all those candidates.  Each start keeps
+    its own point, margin and step, so it follows its path alone.  Up to
+    ten candidates are rationalized and each distinct pair is exactly
+    re-verified; a not-found report carries the best near-miss and
+    certifies nothing."""
     fq = _FloatQuery(q)
     d = fq.d
     rng = _random.Random(q.search.seed)
-    starts = []
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
+    E = np.eye(2 * d)
+    X = np.array([E[i] + sgn * E[d + j] for i in range(d) for j in range(d)
+                  if i != j for sgn in (1.0, -1.0)]
+                 + [[rng.gauss(0, 1) for _ in range(2 * d)]
+                    for _ in range(q.search.starts)]).reshape(-1, 2 * d)
+    if not len(X):
+        raise ValueError("the search has no start: a one-parameter "
+                         "generator needs search.starts >= 1")
+    m = np.abs(X).max(axis=1)
+    X /= np.where(m > 0, m, 1.0)[:, None]
+    F = fq.margins(X[:, :d], X[:, d:])
+    evals = len(X)
+    step = np.full(len(X), 0.5)
+    for _ in range(q.search.iters):
+        live = np.flatnonzero(step > 1e-5)
+        if not live.size:
+            break
+        moved = np.zeros(live.size, dtype=bool)
+        for k in range(2 * d):
             for sgn in (1.0, -1.0):
-                s = np.zeros(2 * d)
-                s[i] = 1.0
-                s[d + j] = sgn
-                starts.append(s)
-    for _ in range(q.search.starts):
-        starts.append(np.array([rng.gauss(0, 1) for _ in range(2 * d)]))
+                Y = X[live]
+                Y[:, k] += sgn * step[live]
+                m = np.abs(Y).max(axis=1)
+                Y /= np.where(m > 0, m, 1.0)[:, None]
+                fy = fq.margins(Y[:, :d], Y[:, d:])
+                evals += live.size
+                up = fy > F[live]
+                X[live[up]], F[live[up]] = Y[up], fy[up]
+                moved |= up
+        step[live[~moved]] *= 0.5
 
-    evals = 0
-    best_f, best_x = -math.inf, None
-    candidates = []
-    for s0 in starts:
-        x = s0 / (np.abs(s0).max() or 1.0)
-        f = fq.margin(x[:d], x[d:])
-        evals += 1
-        step = 0.5
-        iters = 0
-        while step > 1e-5 and iters < q.search.iters:
-            moved = False
-            for k in range(2 * d):
-                for sgn in (1.0, -1.0):
-                    y = x.copy()
-                    y[k] += sgn * step
-                    m = np.abs(y).max()
-                    if m > 0:
-                        y /= m
-                    fy = fq.margin(y[:d], y[d:])
-                    evals += 1
-                    if fy > f:
-                        x, f = y, fy
-                        moved = True
-            if not moved:
-                step *= 0.5
-            iters += 1
-        if f > best_f:
-            best_f, best_x = f, x.copy()
-        if f > 1e-9:
-            candidates.append((f, x.copy()))
+    def rational_pair(x, den):
+        return tuple(tuple(rationalize(float(v), den) for v in half)
+                     for half in (x[:d], x[d:]))
 
-    candidates.sort(key=lambda t: -t[0])
-    best_ce, best_ce_pair, best_ce_f = None, None, -math.inf
-    for f, x in candidates[:10]:
+    # Each distinct pair is verified once, with the margin of its first
+    # candidate: a repeat cannot beat itself.
+    firsts = {}
+    for i in sorted(np.flatnonzero(F > 1e-9), key=lambda i: -F[i])[:10]:
         for den in (10**3, q.search.max_den):
-            a = tuple(rationalize(float(v), den) for v in x[:d])
-            b = tuple(rationalize(float(v), den) for v in x[d:])
-            ce = verify_pair(q, a, b)
-            if ce is not None and (best_ce is None
-                                   or ce.violation > best_ce.violation):
-                best_ce, best_ce_pair, best_ce_f = ce, (a, b), f
+            firsts.setdefault(rational_pair(X[i], den), float(F[i]))
+    best_ce, best_ce_pair, best_ce_f = None, None, None
+    for pair, f in firsts.items():
+        ce = verify_pair(q, *pair)
+        if ce is not None and (best_ce is None
+                               or ce.violation > best_ce.violation):
+            best_ce, best_ce_pair, best_ce_f = ce, pair, f
     if best_ce is not None:
         return SearchReport("counterexample", best_ce, best_ce_f,
-                            best_ce_pair, len(starts), evals)
-    pair = None
-    if best_x is not None:
-        pair = (tuple(rationalize(float(v), q.search.max_den)
-                      for v in best_x[:d]),
-                tuple(rationalize(float(v), q.search.max_den)
-                      for v in best_x[d:]))
-    return SearchReport("not-found", None, best_f, pair, len(starts), evals)
+                            best_ce_pair, len(X), evals)
+    best = int(np.argmax(F))
+    return SearchReport("not-found", None, float(F[best]),
+                        rational_pair(X[best], q.search.max_den), len(X), evals)
 
 
 # ---------------------------------------------------------------------------

@@ -170,3 +170,109 @@ def greedy_cluster_reference(seq, eps):
                 home[1].append(k)
         idxs = max((members for _, members in clusters), key=len)
     return sorted(idxs)
+
+
+def sequential_search_reference(q):
+    """eps_determining_search as a plain sequential loop: each start runs its
+    pattern search to the end before the next begins, every pair is scored
+    alone, and each of the (up to ten) best candidates is rationalized and
+    re-verified with verify_pair at both denominators."""
+    import math
+    import numpy as np
+    from banachlim.determining import SearchReport, verify_pair
+    from banachlim.scalar import rationalize
+    from banachlim.space import ball_extreme_points, dual_space
+
+    def float_norm(space):
+        spec = space.spec
+        if spec.kind != "lp":
+            A = np.array([[to_float(c) for c in row] for row in (
+                spec.functionals if spec.kind == "hpoly"
+                else ball_extreme_points(dual_space(space)))])
+            return lambda y: np.abs(y @ A.T).max()
+        w = np.array([to_float(x) for x in spec.weights])
+        return {"1": lambda y: np.abs(y * w).sum(),
+                "inf": lambda y: np.abs(y * w).max(),
+                "2": lambda y: np.sqrt(((y * w) ** 2).sum())}[spec.p]
+
+    N, M, d = q.rho.length, q.eval_stage, q.gen.param_dim
+    rho = [to_float(r) for r in q.rho.values]
+    eps = to_float(q.eps)
+    stages = list(range(1, N + 1)) + [M]
+    G = {i: np.array([[to_float(c) for c in row] for row in q.gen.matrix(i)])
+         for i in stages}
+    norm = {i: float_norm(q.system.stage(i)) for i in stages}
+
+    def margin(a, b):
+        va = {i: G[i] @ a for i in stages}
+        vb = {i: G[i] @ b for i in stages}
+        nu_a, nu_b = float(norm[M](va[M])), float(norm[M](vb[M]))
+        s = max(nu_a, nu_b)
+        if s < 1e-12:
+            return -1.0
+        terms = []
+        for i in range(1, N + 1):
+            r = rho[i - 1]
+            terms.append((float(norm[i](va[i])) - (1 - r) * nu_a) / s)
+            terms.append((float(norm[i](vb[i])) - (1 - r) * nu_b) / s)
+        terms.append((s / N - float(norm[N](va[N] - vb[N]))) / s)
+        terms.append((float(norm[M](va[M] - vb[M])) - eps * s) / s)
+        return min(terms)
+
+    rng = random.Random(q.search.seed)
+    starts = []
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                for sgn in (1.0, -1.0):
+                    s = np.zeros(2 * d)
+                    s[i], s[d + j] = 1.0, sgn
+                    starts.append(s)
+    for _ in range(q.search.starts):
+        starts.append(np.array([rng.gauss(0, 1) for _ in range(2 * d)]))
+    evals, best_f, best_x, candidates = 0, -math.inf, None, []
+    for s0 in starts:
+        x = s0 / (np.abs(s0).max() or 1.0)
+        f = margin(x[:d], x[d:])
+        evals += 1
+        step, iters = 0.5, 0
+        while step > 1e-5 and iters < q.search.iters:
+            moved = False
+            for k in range(2 * d):
+                for sgn in (1.0, -1.0):
+                    y = x.copy()
+                    y[k] += sgn * step
+                    m = np.abs(y).max()
+                    if m > 0:
+                        y /= m
+                    fy = margin(y[:d], y[d:])
+                    evals += 1
+                    if fy > f:
+                        x, f, moved = y, fy, True
+            if not moved:
+                step *= 0.5
+            iters += 1
+        if f > best_f:
+            best_f, best_x = f, x.copy()
+        if f > 1e-9:
+            candidates.append((f, x.copy()))
+
+    def rational_pair(x, den):
+        return (tuple(rationalize(float(v), den) for v in x[:d]),
+                tuple(rationalize(float(v), den) for v in x[d:]))
+
+    candidates.sort(key=lambda t: -t[0])
+    best_ce, best_ce_pair, best_ce_f = None, None, -math.inf
+    for f, x in candidates[:10]:
+        for den in (10**3, q.search.max_den):
+            pair = rational_pair(x, den)
+            ce = verify_pair(q, *pair)
+            if ce is not None and (best_ce is None
+                                   or ce.violation > best_ce.violation):
+                best_ce, best_ce_pair, best_ce_f = ce, pair, f
+    if best_ce is not None:
+        return SearchReport("counterexample", best_ce, best_ce_f,
+                            best_ce_pair, len(starts), evals)
+    return SearchReport("not-found", None, best_f,
+                        rational_pair(best_x, q.search.max_den),
+                        len(starts), evals)

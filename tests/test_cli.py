@@ -20,6 +20,15 @@ def _run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_loads(text):
+    """json.loads that refuses NaN and +-Infinity, which are not JSON."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def test_validate_builtin_pass(tmp_path, capsys):
     job = _write(tmp_path, "sys.json", {"builtin": "l1_drop", "stages": 8})
     code, out = _run(capsys, "validate", job)
@@ -174,7 +183,7 @@ def test_determine_search_mode(tmp_path, capsys):
     })
     code, out = _run(capsys, "determine", job, "--seed", "5")
     assert code == 1
-    report = json.loads(out)
+    report = _strict_loads(out)
     assert report["search"]["kind"] == "counterexample"
     assert report["manifest"]["seed"] == 5
     # Search cannot certify: a clean instance exits 2.
@@ -183,8 +192,14 @@ def test_determine_search_mode(tmp_path, capsys):
         "generator": {"tail": [["1"], ["0"], ["0"], ["0"]]},
         "rho": ["1/2", "1/2"], "eps": "3/4", "mode": "search",
     })
-    code, _ = _run(capsys, "determine", job2)
+    code, out = _run(capsys, "determine", job2)
     assert code == 2
+    assert _strict_loads(out)["search"]["kind"] == "not-found"
+    # One parameter and one Gaussian start: a finite best margin.
+    job3 = _write(tmp_path, "q3.json", _search_job(starts=1))
+    code, out = _run(capsys, "determine", job3)
+    assert code == 2
+    assert _strict_loads(out)["search"]["best_margin"] > -1
 
 
 def test_reports_byte_identical(tmp_path, capsys):
@@ -297,6 +312,13 @@ def test_bad_job_exits_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _search_job(**search):
+    """A one-parameter search job: it has no axis starts."""
+    return {"system": {"builtin": "l1_drop", "stages": 3},
+            "generator": {"tail": [["1"], ["1"], ["1"]]},
+            "rho": ["1/2"], "eps": "1/2", "mode": "search", "search": search}
+
+
 _SYSTEM_JOB = json.dumps({"builtin": "l1_drop", "stages": 3})
 _CURVE_JOB = json.dumps({
     "curve": {"system": {"builtin": "l1_drop", "stages": 5},
@@ -315,9 +337,14 @@ _UNWRITABLE = ["--out", "{tmp}/missing/r.json"]
     ("validate", _SYSTEM_JOB, _UNWRITABLE),
     ("dualize", _SYSTEM_JOB, _UNWRITABLE),
     ("curves", _CURVE_JOB, _UNWRITABLE),
+    ("determine", json.dumps(_search_job(starts=0)), []),
+    ("determine", json.dumps(_search_job(starts=-3)), []),
+    ("determine", json.dumps(_search_job(starts=1, iters=2.5)), []),
+    ("determine", json.dumps(_search_job(starts=1, max_den=0)), []),
 ], ids=["unreadable", "malformed-json", "zero-denominator", "top-level-list",
         "list-as-space", "unwritable-report", "unwritable-dual",
-        "unwritable-csv"])
+        "unwritable-csv", "search-without-start", "search-negative-starts",
+        "search-fractional-iters", "search-zero-max-den"])
 def test_bad_inputs_exit_three(tmp_path, capsys, command, text, extra):
     path = tmp_path / "job.json"
     if text is not None:
@@ -385,4 +412,4 @@ def test_malformed_jobs_never_escape_the_exit_codes(tmp_path_factory, data):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
     else:
         assert code in (0, 1, 2)
-        assert json.loads(out.getvalue())["manifest"]["command"] == command
+        assert _strict_loads(out.getvalue())["manifest"]["command"] == command

@@ -1,9 +1,10 @@
+import functools
 import random
 import time
 
 import pytest
 
-from banachlim import linalg
+from banachlim import determining, linalg
 from banachlim.scalar import Q, ZERO, ONE
 from banachlim.space import (ball_extreme_points, hpoly_space, lp_space,
                              norm_eval, vpoly_space)
@@ -22,7 +23,7 @@ from banachlim.determining import (CertifyConfig, DeterminingQuery,
                                    rescaled_image_presentation, verify_pair)
 from banachlim.determining import _min_on_cube_sphere
 
-from oracles import random_spanning_vectors
+from oracles import random_spanning_vectors, sequential_search_reference
 
 HALF = Q(1, 2)
 
@@ -67,6 +68,15 @@ def test_query_validation():
         DeterminingQuery(sys_, gen, RhoSchedule((HALF,) * 5), HALF, 4)
     with pytest.raises(ValueError):
         DeterminingQuery(sys_, gen, RhoSchedule((HALF,)), Q(5, 2), 4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("starts", -3), ("starts", 2.5), ("starts", True), ("iters", -1),
+    ("iters", 2.5), ("iters", "300"), ("max_den", 0), ("max_den", 1e6)])
+def test_search_config_validation(field, value):
+    SearchConfig(starts=0, iters=0, max_den=1)
+    with pytest.raises(ValueError):
+        SearchConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +165,70 @@ def test_search_not_found_on_certified_instance():
     rep = eps_determining_search(_d1_query())
     assert rep.kind == "not-found"
     assert rep.counterexample is None
+
+
+def test_search_without_a_start_raises():
+    # A one-parameter generator has no axis starts.
+    with pytest.raises(ValueError, match="no start"):
+        eps_determining_search(_d1_query(search=SearchConfig(starts=0)))
+    assert eps_determining_search(
+        _d1_query(search=SearchConfig(starts=1))).starts == 1
+
+
+def _search_reference_queries():
+    """The prefix grid N = 2..10 x eps {1/4, 1/3, 1/2} x four seeds, then
+    random two- and three-parameter truncations of the l1 and linf drop
+    systems, then V-polytope stages.  Most searches are short, to keep the
+    sequential reference cheap; the grid's equal denominators make every
+    candidate repeat its pair, and a few queries run at the default
+    length."""
+    for N in range(2, 11):
+        for eps in (Q(1, 4), Q(1, 3), HALF):
+            for seed in (0, 1, 7, 12345):
+                yield prefix_obstruction_query(N, eps=eps, search=SearchConfig(
+                    starts=1, iters=6, seed=seed, max_den=1000))
+    rng = random.Random(2024)
+    for t in range(48):
+        M, d = rng.randint(3, 8), rng.choice((2, 2, 3))
+        sys_ = (l1_drop_system if t % 2 else linf_drop_system)(M)
+        tail = [[Q(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(d)]
+                for _ in range(M)]
+        rho = sorted((Q(rng.randint(1, 12), 12)
+                      for _ in range(rng.randint(1, min(3, M - 1)))),
+                     reverse=True)
+        search = (SearchConfig(seed=t) if t % 16 == 0 else
+                  SearchConfig(starts=rng.choice((0, 3)),
+                               iters=rng.choice((8, 16)), seed=t))
+        yield DeterminingQuery(sys_, generator_from_tail(sys_, tail),
+                               RhoSchedule(tuple(rho)),
+                               Q(rng.randint(1, 16), 8), M, search=search)
+    yield prefix_obstruction_query(2, search=SearchConfig(seed=5))
+    # V-polytope stages: random quotient systems and a rescaled presentation.
+    for t in range(6):
+        sys_ = random_quotient_system(t, 4, dim_cap=2)
+        top = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)]
+               for _ in range(sys_.stage(4).dim)]
+        if linalg.rank(top) == 2:
+            yield DeterminingQuery(sys_, generator_from_tail(sys_, top),
+                                   RhoSchedule((Q(t + 3, 12),) * 2),
+                                   Q(t + 1, 8), 4, search=SearchConfig(
+                                       starts=2, iters=12, seed=t))
+    rsys, rgen = rescaled_image_presentation(*_flip_instance())
+    yield DeterminingQuery(rsys, rgen, RhoSchedule((HALF, HALF)), Q(1, 4), 3,
+                           search=SearchConfig(starts=2, iters=12))
+
+
+def test_search_matches_the_sequential_reference(monkeypatch):
+    # verify_pair is exact and deterministic; sharing its results between
+    # the two searches only saves time.
+    monkeypatch.setattr(determining, "verify_pair",
+                        functools.lru_cache(maxsize=None)(verify_pair))
+    kinds = set()
+    for n, q in enumerate(_search_reference_queries(), 1):
+        rep = eps_determining_search(q)
+        assert rep == sequential_search_reference(q), n
+        kinds.add(rep.kind)
+    assert n >= 150 and kinds == {"counterexample", "not-found"}
 
 
 def test_search_l1_truncation_counterexample():
