@@ -23,9 +23,9 @@ from . import linalg
 from .scalar import (Q, ZERO, ONE, format_scalar, from_float, parse_scalar,
                      sqrt_bracket, to_float)
 from .space import (LpNorm, NormSpecError, NormedSpace, _canonical_sign,
-                    ball_extreme_points, dual_space, extreme_point_estimate,
-                    hull_gauge, lp_space, min_norm_lp, norm_eval,
-                    norm_eval_sq)
+                    _facet_dim, ball_extreme_points, ball_form, dual_space,
+                    extreme_point_estimate, hull_gauge, lp_space, min_norm_lp,
+                    norm_eval, norm_eval_sq)
 
 EXACT = "exact"
 SAMPLED_BOUND = "sampled-bound"
@@ -231,13 +231,20 @@ def _route_norm(T: LinearMap):
 
 
 def _with_source_witness(T: LinearMap, res, phi) -> OpNormResult:
-    """res, its dual-route witness made the least-norm x with phi.x = v, v
-    the value: ||T x|| >= psi(T x) = v = ||T|| ||x||, and ||x|| = 1 when v
-    is exact (the zero map has no witness)."""
+    """res, its dual-route witness made a source vector x, ||x|| = 1, with
+    phi.x = v, v the value: ||T x|| >= psi(T x) = v = ||T||.  x is the first
+    listed source extreme point maximising phi.x (the max is ||T* psi||_*)
+    for generators and for rows up to the facet dimension, else the
+    least-norm x with phi.x = v.  The zero map has no witness."""
     if phi is None:
         return res
-    x = None
-    if res.value_sq:
+    form = ball_form(T.source.spec)
+    if not res.value_sq:
+        x = None
+    elif form and (form[0] == "gens" or T.source.dim <= _facet_dim()):
+        x = max(ball_extreme_points(T.source),
+                key=lambda v: linalg.dot(phi, v))
+    else:
         row = LinearMap(T.source, lp_space(1, 1), (phi,))
         x = min_norm_preimage(row, (res.value,))[0]
     return replace(res, witness=x)

@@ -2,13 +2,14 @@
 
 Three norm representations: weighted lp for p in {1, 2, inf}, H-polytope
 (unit ball cut out by functionals, norm = max |phi_i(x)|) and V-polytope
-(unit ball conv(+-v_j), norm = gauge).  The vertices of a ball given by
-rows are enumerated once per row list and cached; a V-polytope norm is the
-largest psi.x over the cached facet normals psi (the vertices of its polar)
-up to dimension _FACET_DIM, and one exact LP above it.  hull_gauge reads a
-one-off ball, evaluated at a batch of points, off its facets up to the
-vertex-enumeration cap.  Every exact LP that minimizes a polytopal norm is
-built by min_norm_lp.
+(unit ball conv(+-v_j), norm = gauge).  A ball given by rows is enumerated
+once per row list and cached.  Up to dimension _FACET_DIM that enumeration
+decides which rows (for generators, on the polar) a polytope space keeps,
+and a V-polytope norm is the largest psi.x over the cached facet normals
+psi (the vertices of its polar); above it, each is one exact LP per
+candidate or evaluation.  hull_gauge reads a one-off ball, evaluated at a
+batch of points, off its facets up to the vertex-enumeration cap.  Every
+exact LP that minimizes a polytopal norm is built by min_norm_lp.
 
 All polytope geometry is exact rational; the only approximate quantity is
 the l2 norm value itself (its square is exact).
@@ -26,17 +27,26 @@ from .scalar import Q, ZERO, ONE, parse_scalar, format_scalar, sqrt_approx
 from .simplex import LinearProgram, OPTIMAL
 
 DEFAULT_DIM_CAP = 8
-# Up to this dimension norm_eval reads a V-polytope norm off its cached
-# facets.  Measured on random V-polytopes with d+2 to d+6 generators: the
-# enumeration pays for itself within 2-8 evaluations up to d = 4, after
-# 10-25 at d = 5, and after 50-110 or never at d = 6; three evaluations by
-# facets cost 2-4x the LPs at d = 5 and 20-27x at d = 8.
+# The one switch between enumeration and LPs: up to this dimension a
+# polytope space's irredundant rows or generators and its V-polytope norm
+# come from one cached vertex enumeration, above it from LPs.  Measured on
+# random V-polytopes with d+2 to d+6 generators, ms per build:
+#   d            2     3     4     5     6     7     8
+#   LPs        7.1  14.4  34.5  78.6   153   237   300
+#   enumerate  1.4   4.5  13.9  60.6   221   898  1884
+# Per norm evaluation the enumeration pays for itself within 2-8 of them up
+# to d = 4, after 10-25 at d = 5, and after 50-110 or never at d = 6.
 _FACET_DIM = 4
 
 
 def vertex_enum_dim_cap() -> int:
     env = os.environ.get("BANACH_LIMITS_CAP_DIM")
     return int(env) if env else DEFAULT_DIM_CAP
+
+
+def _facet_dim() -> int:
+    """Largest dimension read off cached vertex enumerations, not LPs."""
+    return min(_FACET_DIM, vertex_enum_dim_cap())
 
 
 class NormSpecError(ValueError):
@@ -204,12 +214,16 @@ def min_norm_lp(spec, E, e, C=(), c=()):
 
 
 def _irredundant(vectors, dim):
-    """Canonical irredundant subset: drop each v_i inside conv(+- others)
-    while the others span.  The same test drops redundant H-rows: by LP
-    duality, max phi_i.x over {x : |g.x| <= 1 for the others g} is the
-    gauge of conv(+- others) at phi_i."""
+    """Canonical irredundant subset: the rows r with r.x = 1 a facet of
+    {x : |r.x| <= 1 for every row r}, i.e. the vertices of conv(+-G) for
+    generators G, read off its cached enumeration up to _facet_dim().
+    Above it, one LP each drops v_i in conv(+- others) while the others
+    span (by LP duality, the same test for rows)."""
     kept = sorted({_canonical_sign(linalg.vec(v)) for v in vectors},
                   key=_sort_key)
+    if dim <= _facet_dim():
+        facets = _cached_ball(tuple(kept), dim)[1]
+        return tuple(v for v, facet in zip(kept, facets) if facet)
     eye = linalg.identity(dim)
     i = 0
     while i < len(kept):
@@ -270,9 +284,7 @@ def norm_eval(space: NormedSpace, x):
     if isinstance(spec, HPolytope):
         return max(abs(linalg.dot(f, x)) for f in spec.functionals)
     if isinstance(spec, VPolytope):
-        return _gauge(spec, space.dim,
-                      min(_FACET_DIM, vertex_enum_dim_cap()),
-                      _rows_vertices)(x)
+        return _gauge(spec, space.dim, _facet_dim(), _rows_vertices)(x)
     raise NormSpecError(f"unknown spec {type(spec).__name__}")
 
 
@@ -319,37 +331,31 @@ def _adjacent(i, j, verts, dim):
                    for k in range(len(verts)) if k != i and k != j)
 
 
-def _halfspace_vertices(halfspaces, dim):
-    """Vertices of {x : a.x <= 1} by successive halfspace intersection."""
-    # Seed: d independent symmetric pairs give a parallelepiped.
-    idx = []
-    chosen = []
-    for i in range(0, len(halfspaces), 2):
-        if linalg.rank(chosen + [halfspaces[i]]) > len(chosen):
-            chosen.append(halfspaces[i])
-            idx.append(i)
-        if len(chosen) == dim:
-            break
-    if len(chosen) < dim:
+def _halfspace_polytope(halfspaces, dim):
+    """Vertices of {x : a.x <= 1} by successive halfspace intersection, each
+    as [point, full set of the indices of the halfspaces active at it]."""
+    # Seed: the first d independent symmetric pairs give a parallelepiped,
+    # whose vertices are the sums of +- the columns of the pairs' inverse.
+    idx = [2 * i for i in linalg.column_space_basis(
+        linalg.transpose(halfspaces[::2]))]
+    if len(idx) < dim:
         raise NormSpecError("halfspaces do not bound a polytope")
-    verts = []   # [point, active halfspace index set]
-    for signs in itertools.product((ONE, -ONE), repeat=dim):
-        pt = linalg.solve(chosen, list(signs))
-        active = {idx[j] if signs[j] > 0 else idx[j] + 1 for j in range(dim)}
-        verts.append([pt, active])
-    used = set(idx) | {i + 1 for i in idx}
-
-    for h in range(len(halfspaces)):
-        if h in used:
+    signed = [(c, tuple(-v for v in c)) for c in linalg.transpose(
+        linalg.inverse([halfspaces[i] for i in idx]))]
+    verts = []
+    for side in itertools.product((0, 1), repeat=dim):
+        pt = tuple(map(sum, zip(*(signed[j][s] for j, s in enumerate(side)))))
+        verts.append([pt, {idx[j] + s for j, s in enumerate(side)}])
+    for h, a in enumerate(halfspaces):
+        if h - h % 2 in idx:            # a seed pair
             continue
-        a = halfspaces[h]
         vals = [linalg.dot(a, pv[0]) for pv in verts]
         inside = [i for i, t in enumerate(vals) if t < 1]
         on = [i for i, t in enumerate(vals) if t == 1]
         outside = [i for i, t in enumerate(vals) if t > 1]
+        for i in on:
+            verts[i][1].add(h)
         if not outside:
-            for i in on:
-                verts[i][1].add(h)
             continue
         new_verts = []
         for i in inside:
@@ -360,37 +366,40 @@ def _halfspace_vertices(halfspaces, dim):
                 lam = (1 - ti) / (tj - ti)
                 pt = tuple(pi + lam * (pj - pi)
                            for pi, pj in zip(verts[i][0], verts[j][0]))
-                new_verts.append([pt, (verts[i][1] & verts[j][1]) | {h}])
-        keep = [verts[i] for i in inside]
-        for i in on:
-            verts[i][1].add(h)
-            keep.append(verts[i])
-        index = {tuple(v[0]): v for v in keep}
-        for nv in new_verts:
-            key = tuple(nv[0])
-            if key in index:
-                index[key][1] |= nv[1]
-            else:
-                index[key] = nv
-                keep.append(nv)
-        verts = keep
-        used.add(h)
-    return [tuple(v[0]) for v in verts]
+                new_verts.append((pt, (verts[i][1] & verts[j][1]) | {h}))
+        index = {verts[i][0]: verts[i] for i in inside + on}
+        for pt, active in new_verts:
+            index.setdefault(pt, [pt, set()])[1] |= active
+        verts = list(index.values())
+    return verts
 
 
-def _symmetric_vertices(rows, dim):
-    """Vertices of {x : |r.x| <= 1 for every row r}."""
-    return tuple(_halfspace_vertices(
-        [r for f in rows for r in (f, tuple(-v for v in f))], dim))
+def _halfspace_vertices(halfspaces, dim):
+    """Vertices of {x : a.x <= 1}."""
+    return [pt for pt, _ in _halfspace_polytope(halfspaces, dim)]
 
 
-_cached_vertices = functools.lru_cache(maxsize=32)(_symmetric_vertices)
+def _symmetric_ball(rows, dim):
+    """(vertices, facet flags) of {x : |r.x| <= 1 for every row r}: r.x = 1
+    is a facet iff the set of vertices on it is inside no other signed
+    row's set.  A lower or empty face lies in a facet, every facet is a
+    row, and a facet's set is inside another face's only for equal rows."""
+    halfspaces = [r for f in rows for r in (f, tuple(-v for v in f))]
+    verts = _halfspace_polytope(halfspaces, dim)
+    on = [{k for k, (_, active) in enumerate(verts) if h in active}
+          for h in range(len(halfspaces))]
+    facets = tuple(not any(on[2 * i] <= on[h] and halfspaces[h] != r
+                           for h in range(len(halfspaces)))
+                   for i, r in enumerate(rows))
+    return tuple(pt for pt, _ in verts), facets
+
+
+_cached_ball = functools.lru_cache(maxsize=32)(_symmetric_ball)
 
 
 def _rows_vertices(rows, dim):
-    """_symmetric_vertices, enumerated once per row list (rows given as
-    lists are keyed as tuples)."""
-    return _cached_vertices(tuple(map(tuple, rows)), dim)
+    """The vertices of _symmetric_ball, cached per row list (as tuples)."""
+    return _cached_ball(tuple(map(tuple, rows)), dim)[0]
 
 
 def _gauge(spec, dim, facet_dim, vertices_of):
@@ -413,13 +422,12 @@ def _gauge(spec, dim, facet_dim, vertices_of):
 
 def hull_gauge(generators, dim):
     """x -> gauge of conv(+-generators) at x, for a one-off ball evaluated
-    at many points: read off its facet normals up to the vertex-enumeration
-    cap (they pay for themselves over a batch of points), one LP per point
-    above it.  The facets are enumerated for this function alone, so a
-    one-off ball pushes no reused one out of the vertex cache.  The
+    at many points: off its facet normals up to the vertex-enumeration cap
+    (they pay for themselves over a batch), one LP per point above it.  The
+    facets are not cached, so a one-off ball evicts no reused one.  The
     generators must span."""
     return _gauge(VPolytope(tuple(generators)), dim, vertex_enum_dim_cap(),
-                  _symmetric_vertices)
+                  lambda rows, d: _symmetric_ball(rows, d)[0])
 
 
 def extreme_point_estimate(space: NormedSpace):

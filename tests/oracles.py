@@ -6,6 +6,7 @@ intersection of d-subsets of active constraints.
 """
 
 import itertools
+import math
 import random
 
 from banachlim import linalg
@@ -73,6 +74,39 @@ def vertices_by_subset_enum(halfspaces, dim):
         if all(linalg.dot(a, pt) <= 1 for a in halfspaces):
             out.add(pt)
     return out
+
+
+def irredundant_reference(vectors, dim):
+    """(rows, vertices) of the ball {x : |r.x| <= 1 for every row r}: the
+    rows (each up to sign, zero rows and repeats dropped) whose r.x = 1 is
+    a facet, i.e. the vertices on it have rank dim, and the vertices, the
+    feasible points with r.x = +-1 on dim independent rows.  For generators
+    the rows are the vertices of conv(+-G) up to sign (the polar test)."""
+    rows = set()
+    for v in vectors:
+        if any(x != 0 for x in v):
+            lead = next(x for x in v if x != 0)
+            rows.add(tuple(Q(x) if lead > 0 else -Q(x) for x in v))
+    verts = set()
+    for combo in itertools.combinations(rows, dim):
+        try:
+            inv = linalg.inverse(combo)
+        except ValueError:              # dependent rows
+            continue
+        # r.(inv s) = (inv^T r).s, tested for every sign vector s on the
+        # integers (inv^T r) * den, den its common denominator.
+        tests = []
+        for r in rows:
+            t = linalg.mat_vec(linalg.transpose(inv), r)
+            den = math.lcm(*(x.denominator for x in t))
+            tests.append(([x.numerator * (den // x.denominator) for x in t],
+                          den))
+        for signs in itertools.product((1, -1), repeat=dim):
+            if all(abs(sum(s * n for s, n in zip(signs, ns))) <= den
+                   for ns, den in tests):
+                verts.add(linalg.mat_vec(inv, signs))
+    return {r for r in rows if linalg.rank(
+        [v for v in verts if linalg.dot(r, v) == 1]) == dim}, verts
 
 
 def random_rational_vector(rng, dim, lo=-3, hi=3, den=4):

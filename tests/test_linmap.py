@@ -318,6 +318,51 @@ def test_cover_and_lp_routes_agree(monkeypatch):
     assert [e.verdict for _, e in facet_route] == [True, False] * 6
 
 
+def _maps_round(rng):
+    """Values and verdicts of a `maps`-shaped sequence: H/V builds at
+    d = 2-4 with bipolar norms, operator norms of V -> H and H -> H maps
+    and of their adjoints, a pad embedding and an image-ball quotient."""
+    out = []
+    for d in (2, 3, 4):
+        vecs = random_spanning_vectors(rng, d, d + 2)
+        xs = [random_rational_vector(rng, d) for _ in range(3)]
+        for X in (hpoly_space(vecs), vpoly_space(vecs)):
+            XX = space.dual_space(space.dual_space(X))
+            out.append([(norm_eval(X, x), norm_eval(XX, x)) for x in xs])
+    for src, tgt in ((vpoly_space, hpoly_space), (hpoly_space, hpoly_space)):
+        T = _rand_map(rng, src(random_spanning_vectors(rng, 3, 5)),
+                      tgt(random_spanning_vectors(rng, 2, 3)))
+        for M in (T, adjoint(T)):
+            res = operator_norm(M)
+            _assert_witness_attains(M, res)
+            out.append((res.value, res.certificate_kind))
+    src = hpoly_space(random_spanning_vectors(rng, 3, 5))
+    pad = linear_map(src, hpoly_space(
+        [f + (ZERO,) for f in src.spec.functionals] + [(ZERO,) * 3 + (ONE,)]),
+        _pad_matrix(3, 1))
+    out.append((is_isometric_embedding(pad), is_quotient_map(adjoint(pad))))
+    src = vpoly_space(random_spanning_vectors(rng, 4, 6))
+    rows = [[1, 0, 1, 0], [0, 1, -1, 0], [1, 1, 0, 2]]
+    image = [linalg.mat_vec(linalg.mat(rows), v)
+             for v in ball_extreme_points(src)]
+    T = linear_map(src, vpoly_space(image), rows)
+    out.append((is_quotient_map(T), is_isometric_embedding(adjoint(T))))
+    return out
+
+
+def test_a_maps_round_solves_no_lp(monkeypatch):
+    # Up to dimension 4 every build, norm, operator norm (witness included)
+    # and verdict is read off cached vertex enumerations; with the cap at 1
+    # the same values and verdicts come from LPs.
+    solves = _count_lp_solves(monkeypatch)
+    enumerated = _maps_round(random.Random(113))
+    assert len(solves) == 0
+    assert enumerated[-2:] == [(linmap.MapVerdict(True),) * 2] * 2
+    monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "1")
+    assert _maps_round(random.Random(113)) == enumerated
+    assert len(solves) > 0
+
+
 def test_opnorm_submultiplicative_random():
     rng = random.Random(61)
     for _ in range(6):
@@ -434,9 +479,9 @@ def test_opnorm_lists_the_smaller_ball(monkeypatch):
     # lists 4 points, so the source ball is never enumerated.
     rng = random.Random(107)
     enumerated = []
-    halfspace_vertices = space._halfspace_vertices
-    monkeypatch.setattr(space, "_halfspace_vertices", lambda h, d: (
-        enumerated.append(d), halfspace_vertices(h, d))[1])
+    halfspace_polytope = space._halfspace_polytope
+    monkeypatch.setattr(space, "_halfspace_polytope", lambda h, d: (
+        enumerated.append(d), halfspace_polytope(h, d))[1])
     src = hpoly_space(random_spanning_vectors(rng, 6, 8))
     T = _rand_map(rng, src, lp_space(1, dim=2))
     _assert_witness_attains(T, operator_norm(T))
@@ -459,9 +504,9 @@ def test_covering_check_reads_image_facets_up_to_the_cap(monkeypatch):
     U = linear_map(hpoly_space(random_spanning_vectors(rng, 3, 4)),
                    hpoly_space(random_spanning_vectors(rng, 2, 3)),
                    [[small, 0, 0], [0, small, 0]])
-    space._cached_vertices.cache_clear()
+    space._cached_ball.cache_clear()
     assert is_quotient_map(U).reason == "min preimage norm != target norm"
-    assert space._cached_vertices.cache_info().currsize == 2
+    assert space._cached_ball.cache_info().currsize == 2
 
 
 def test_l2_bracket_when_start_vector_misses_top_singular_vector():

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from banachlim import linalg
+from banachlim import linalg, space
 from banachlim.determining import _float_norm_fn
 from banachlim.scalar import Q, ZERO, ONE, to_float
 from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
@@ -16,8 +16,8 @@ from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              space_from_json, space_to_json,
                              validate_norm_spec, vpoly_space)
 
-from oracles import (gauge_by_ray_bisection, random_spanning_vectors,
-                     vertices_by_subset_enum)
+from oracles import (gauge_by_ray_bisection, irredundant_reference,
+                     random_spanning_vectors, vertices_by_subset_enum)
 
 
 def test_hpoly_linf_identity():
@@ -239,6 +239,52 @@ def test_hpoly_and_vpoly_keep_the_same_vectors():
         vs = random_spanning_vectors(rng, d, rng.randint(d, d + 4))
         assert hpoly_space(vs).spec.functionals == \
             vpoly_space(vs).spec.vertices
+
+
+def _degenerate_spec(rng, dim):
+    """Random spanning rows plus redundant ones: zero rows, scaled copies,
+    negated repeats, edge midpoints and face centroids."""
+    vs = random_spanning_vectors(rng, dim, rng.randint(dim + 1, dim + 2))
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(vs), rng.choice(vs)
+        face = rng.sample(vs, dim)
+        vs.append(rng.choice([
+            (ZERO,) * dim,
+            tuple(Q(rng.randint(1, 3), rng.randint(1, 4)) * x for x in a),
+            tuple(-x for x in a),
+            tuple((x + y) / 2 for x, y in zip(a, b)),
+            tuple(sum(c) / dim for c in zip(*face))]))
+    rng.shuffle(vs)
+    return vs
+
+
+def test_irredundant_matches_the_subset_oracle_and_the_lp_branch(
+        monkeypatch):
+    # Up to _FACET_DIM the kept rows (and generators) are read off one
+    # vertex enumeration; the LP branch above it must keep the same ones in
+    # the same order, and the ball must have the oracle's vertices.
+    rng = random.Random(211)
+    specs = [_degenerate_spec(rng, (2, 2, 3, 3, 4)[k % 5]) for k in range(200)]
+    for dim in (2, 3, 4):
+        # The seed parallelepiped lists its vertices in sign order.
+        cube = NormedSpace(dim, HPolytope(linalg.identity(dim)))
+        assert ball_extreme_points(cube) == \
+            list(itertools.product((ONE, -ONE), repeat=dim))
+        specs.append(list(linalg.identity(dim)))
+        specs.append([(ONE,) + s for s in
+                      itertools.product((ONE, -ONE), repeat=dim - 1)])
+    for vs in specs:
+        dim = len(vs[0])
+        want, vertices = irredundant_reference(vs, dim)
+        H, V = hpoly_space(vs), vpoly_space(vs)
+        assert set(H.spec.functionals) == want
+        assert V.spec.vertices == H.spec.functionals
+        with monkeypatch.context() as m:
+            m.setattr(space, "_FACET_DIM", 0)
+            assert space._irredundant(vs, dim) == H.spec.functionals
+        assert set(ball_extreme_points(H)) == vertices
+        assert set(ball_extreme_points(V)) == \
+            {h for r in want for h in (r, tuple(-x for x in r))}
 
 
 def test_specs_built_from_lists_evaluate():
