@@ -19,6 +19,8 @@ quotient-restriction check for generated subspaces together with the
 rescaled-image construction that forces restrictions to be quotient maps.
 """
 
+import functools
+import itertools
 import math
 import random as _random
 from dataclasses import dataclass, field
@@ -59,6 +61,14 @@ class RhoSchedule:
         return len(self.values)
 
 
+def _require_ints(config, what, bounds):
+    """Each (name, least) of bounds names an int field >= least (no bool)."""
+    for name, least in bounds:
+        v = getattr(config, name)
+        if not isinstance(v, int) or isinstance(v, bool) or v < least:
+            raise ValueError(f"{what} {name} must be an int >= {least}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     starts: int = 16
@@ -67,10 +77,8 @@ class SearchConfig:
     max_den: int = 10**6
 
     def __post_init__(self):
-        for name, least in (("starts", 0), ("iters", 0), ("max_den", 1)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < least:
-                raise ValueError(f"search {name} must be an int >= {least}")
+        _require_ints(self, "search", (("starts", 0), ("iters", 0),
+                                       ("max_den", 1)))
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,13 @@ class CertifyConfig:
     # _VERIFY_COST each).  Near-boundary instances can otherwise cascade
     # into unbounded refinement; exhausting the budget yields "undecided".
     budget: int = 3 * 10**6
+
+    def __post_init__(self):
+        if isinstance(self.delta, bool) or not Q(self.delta) > 0:
+            raise ValueError("certify delta must be > 0")
+        object.__setattr__(self, "delta", Q(self.delta))
+        _require_ints(self, "certify", (("refine_rounds", 0), ("dim_cap", 1),
+                                        ("budget", 0)))
 
 
 _VERIFY_COST = 1000
@@ -384,21 +399,17 @@ class CertifyReport:
     refinements: int = 0
 
 
-def _grid_vals(h):
-    n = max(1, math.ceil(2 / float(h)))
-    return [Q(2 * k, n) - 1 for k in range(n + 1)], Q(2, n)
+def _face_points(face, sgn, coord_vals):
+    """The product grid on the cube face x_face = sgn as (face, point)
+    nodes: the other coordinates, in order, run over the lists of
+    coord_vals (the last one fastest)."""
+    return [(face, p[:face] + (sgn,) + p[face:])
+            for p in itertools.product(*coord_vals)]
 
 
-def _cube_points(d, face, h):
-    """Grid points on the cube face x_face = 1 with step <= h."""
-    vals, step = _grid_vals(h)
-    pts = [()]
-    for k in range(d):
-        if k == face:
-            pts = [p + (ONE,) for p in pts]
-        else:
-            pts = [p + (v,) for p in pts for v in vals]
-    return pts, step
+def _local_vals(center, half, quarter, lo, hi):
+    return sorted({min(max(center - half + k * quarter, lo), hi)
+                   for k in range(5)})
 
 
 def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
@@ -416,98 +427,60 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
     tau: all grid margins <= -tau certify absence of a violating pair.
     Grid points straddling (-tau, 0] are refined locally; refinement
     either clears them, produces an exactly verified Counterexample, or
-    reports undecided."""
+    reports undecided.
+
+    The coarse grid and every refinement share one node evaluator:
+    ``sphere`` projects cube points to the sphere, each exactly once per
+    call, and filters them by float tail slack; ``pair_terms`` evaluates
+    the float pair terms of an (a, u, t) grid as G a - t (G u)."""
     d = q.gen.param_dim
     if d > q.certify.dim_cap:
         raise ValueError(f"parameter dimension {d} above certification cap")
     nu = parameter_space(q.gen, q.eval_stage)
 
     # Norm equivalence constants against the parameter cube.
-    sign_vecs = [()]
-    for _ in range(d - 1):
-        sign_vecs = [s + (v,) for s in sign_vecs for v in (ONE, -ONE)]
-    c_max = max(norm_eval(nu, (ONE,) + s) for s in sign_vecs)
+    c_max = max(norm_eval(nu, (ONE,) + s)
+                for s in itertools.product((ONE, -ONE), repeat=d - 1))
     c_min = _min_on_cube_sphere(nu)
     l_rad = 2 * c_max / c_min          # radial projection, cube -> nu sphere
     fq = _FloatQuery(q)
 
+    @functools.cache
     def proj(x):
-        n = norm_eval(nu, x)
-        return tuple(c / n for c in x)
+        e = linalg.vec_scale(1 / norm_eval(nu, x), x)
+        return e, [to_float(c) for c in e]
 
-    def dir_slack_float(x):
-        """Float tail slack of a unit-sphere point (1-Lipschitz on the
-        sphere in the nu metric)."""
-        fx = np.array([to_float(c) for c in x])
-        return min(float(fq.norm[i](fq.G[i] @ fx)) - (1 - fq.rho[i - 1])
-                   for i in range(1, fq.N + 1))
+    def sphere(points, tau_s):
+        """Project (face, cube point) nodes to the nu sphere; keep those
+        whose float tail slack exceeds -tau_s.  Returns the kept indices and
+        their exact projections, stage-N and -M float images and slacks."""
+        E = [proj(p) for _, p in points]
+        X = np.array([f for _, f in E])
+        V = {i: X @ fq.G[i].T for i in fq.stages}
+        slack = np.full(len(points), np.inf)
+        for i in range(1, fq.N + 1):
+            slack = np.minimum(slack, fq.norm[i](V[i]) - (1 - fq.rho[i - 1]))
+        keep = np.flatnonzero(slack > -tau_s)
+        return (keep, [E[k][0] for k in keep],
+                {i: V[i][keep] for i in (fq.N, fq.M)}, slack[keep])
 
-    h0 = Q(q.certify.delta)
-    # a ranges over half the sphere faces (joint negation symmetry),
-    # u over all of them.
-    a_nodes, u_nodes = [], []          # (exact point, face, sign, cube pt)
-    step_a = None
-    for face in range(d):
-        pts, step_a = _cube_points(d, face, h0)
-        for p in pts:
-            a_nodes.append((proj(p), face, ONE, p))
-        for sgn in (ONE, -ONE):
-            for p in pts:
-                sp = tuple(sgn * c for c in p)
-                u_nodes.append((proj(sp), face, sgn, sp))
-    n_lev = max(1, math.ceil(1 / float(h0)))
-    step_t = Q(1, n_lev)
-    t_vals = [Q(k, n_lev) for k in range(n_lev + 1)]
+    def pair_terms(Va, Vu, ts, tau_p):
+        """Over the (a, u, t) grid of the images Va, Vu and the levels ts:
+        whether both pair terms exceed -tau_p, and min(prox, sep)."""
+        T = np.array([to_float(t) for t in ts])
+
+        def dist(i):
+            return fq.norm[i](Va[i][:, None, None, :]
+                              - T[:, None] * Vu[i][None, :, None, :])
+        prox, sep = 1 / fq.N - dist(fq.N), dist(fq.M) - fq.eps
+        return (prox > -tau_p) & (sep > -tau_p), np.minimum(prox, sep)
 
     # Per-term exclusion margins: the tail slack of a sphere point is
     # 1-Lipschitz on the sphere (covering radius l_rad*h/2); the pair
     # terms are 1-Lipschitz in (a, u, t) with summed covering radii.
     def margins(h, ht):
-        tau_s = to_float(l_rad * h / 2) + 1e-9
-        tau_p = to_float(l_rad * h + ht / 2) + 1e-9
-        return tau_s, tau_p
-
-    tau_s0, tau_p0 = margins(step_a, step_t)
-
-    SA = np.array([[to_float(c) for c in s[0]] for s in a_nodes])
-    SU = np.array([[to_float(c) for c in s[0]] for s in u_nodes])
-    T = np.array([to_float(t) for t in t_vals])
-    VA = {i: SA @ fq.G[i].T for i in fq.stages}
-    VU = {i: SU @ fq.G[i].T for i in fq.stages}
-    slack_a = np.full(len(a_nodes), np.inf)
-    slack_u = np.full(len(u_nodes), np.inf)
-    for i in range(1, fq.N + 1):
-        r = 1 - fq.rho[i - 1]
-        slack_a = np.minimum(slack_a, fq.norm[i](VA[i]) - r)
-        slack_u = np.minimum(slack_u, fq.norm[i](VU[i]) - r)
-    checked = len(a_nodes) * len(u_nodes) * len(t_vals)
-    filt_u = np.where(slack_u > -tau_s0)[0]
-
-    suspects = []
-    if filt_u.size:
-        un = VU[fq.N][filt_u]          # (n_u, dim_N)
-        um = VU[fq.M][filt_u]
-        for ia in np.where(slack_a > -tau_s0)[0]:
-            dn = VA[fq.N][ia][None, None, :] - T[None, :, None] * \
-                un[:, None, :]
-            prox = 1 / fq.N - fq.norm[fq.N](dn)
-            dm = VA[fq.M][ia][None, None, :] - T[None, :, None] * \
-                um[:, None, :]
-            sep = fq.norm[fq.M](dm) - fq.eps
-            ok = (prox > -tau_p0) & (sep > -tau_p0)
-            g = np.minimum(np.minimum(prox, sep),
-                           np.minimum(slack_a[ia], slack_u[filt_u])[:, None])
-            for iu, it in zip(*np.where(ok)):
-                suspects.append((float(g[iu, it]), int(ia),
-                                 int(filt_u[iu]), int(it)))
-
-    refinements = 0
-    work = checked
-
-    def pair_terms(fa, fb):
-        prox = 1 / fq.N - float(fq.norm[fq.N](fq.G[fq.N] @ (fa - fb)))
-        sep = float(fq.norm[fq.M](fq.G[fq.M] @ (fa - fb))) - fq.eps
-        return prox, sep
+        return (to_float(l_rad * h / 2) + 1e-9,
+                to_float(l_rad * h + ht / 2) + 1e-9)
 
     def try_verify(a_pt, u_pt, t):
         nonlocal work
@@ -516,7 +489,7 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
             t = step_t / Q(4 ** (q.certify.refine_rounds + 1))
         return verify_pair(q, a_pt, tuple(t * c for c in u_pt))
 
-    def refine(fa_a, pa, fa_u, sgn_u, pu, t, h, ht, depth):
+    def refine(a, u, t, h, ht, depth):
         """Cover the cube cells around a suspect triple at step h/4."""
         nonlocal checked, refinements, work
         if work > q.certify.budget:
@@ -525,106 +498,92 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
         h4, ht4 = h / 4, ht / 4
         tau_s, tau_p = margins(h4, ht4)
 
-        def local_vals(center, half, quarter, lo, hi):
-            return sorted({min(max(center - half + k * quarter, lo), hi)
-                           for k in range(5)})
+        def local(face, p):
+            return _face_points(face, p[face], [
+                _local_vals(p[k], h / 2, h4, -ONE, ONE)
+                for k in range(d) if k != face])
 
-        def local_face(face, sgn, p):
-            pts = [()]
-            for k in range(d):
-                if k == face:
-                    pts = [pt + (sgn,) for pt in pts]
-                else:
-                    pts = [pt + (v,) for pt in pts
-                           for v in local_vals(p[k], h / 2, h4, -ONE, ONE)]
-            return pts
-
-        cand_a = []
-        for cpa in local_face(fa_a, ONE, pa):
-            ea = proj(cpa)
-            if dir_slack_float(ea) > -tau_s:
-                cand_a.append((cpa, ea, np.array([to_float(c) for c in ea])))
-        cand_u = []
-        for cpu in local_face(fa_u, sgn_u, pu):
-            eu = proj(cpu)
-            if dir_slack_float(eu) > -tau_s:
-                cand_u.append((cpu, eu, np.array([to_float(c) for c in eu])))
-        ts = local_vals(t, ht / 2, ht4, ZERO, ONE)
-        checked += len(cand_a) * len(cand_u) * len(ts)
-        work += len(cand_a) * len(cand_u) * len(ts)
+        an, un = local(*a), local(*u)
+        ka, Ea, Va, _ = sphere(an, tau_s)
+        ku, Eu, Vu, _ = sphere(un, tau_s)
+        ts = _local_vals(t, ht / 2, ht4, ZERO, ONE)
+        checked += len(ka) * len(ku) * len(ts)
+        work += len(ka) * len(ku) * len(ts)
+        ok, g = pair_terms(Va, Vu, ts, tau_p)
         worst = None
-        for cpa, ea, fa in cand_a:
-            for cpu, eu, fu in cand_u:
-                for tv in ts:
-                    prox, sep = pair_terms(fa, float(to_float(tv)) * fu)
-                    if prox <= -tau_p or sep <= -tau_p:
-                        continue
-                    ce = try_verify(ea, eu, tv)
-                    if ce is not None:
-                        return "ce", ce
-                    if depth > 0:
-                        sub = refine(fa_a, cpa, fa_u, sgn_u, cpu,
-                                     tv, h4, ht4, depth - 1)
-                        if sub[0] != "ok":
-                            return sub
-                    else:
-                        worst = (ea, eu, tv, min(prox, sep))
-        if worst is not None:
-            return "undecided", worst
-        return "ok", None
+        for ia, iu, it in zip(*np.nonzero(ok)):
+            ce = try_verify(Ea[ia], Eu[iu], ts[it])
+            if ce is not None:
+                return "ce", ce
+            if depth > 0:
+                sub = refine(an[ka[ia]], un[ku[iu]], ts[it], h4, ht4,
+                             depth - 1)
+                if sub[0] != "ok":
+                    return sub
+            else:
+                worst = (Ea[ia], Eu[iu], ts[it], float(g[ia, iu, it]))
+        return ("ok", None) if worst is None else ("undecided", worst)
 
-    def _ce_report(ce):
-        return CertifyReport(
-            "counterexample",
-            "violating pair found and exactly re-verified "
-            f"(stage-{q.eval_stage} operative norm)",
-            q.eval_stage, q.eps, h0, l_rad * step_a + step_t / 2,
-            counterexample=ce,
-            points_checked=checked, refinements=refinements)
+    def report(kind, statement, **kw):
+        return CertifyReport(kind, statement, q.eval_stage, q.eps, h0,
+                             l_rad * step_a + step_t / 2,
+                             points_checked=checked, refinements=refinements,
+                             **kw)
 
+    h0 = q.certify.delta
+    n, n_lev = (max(1, math.ceil(k / float(h0))) for k in (2, 1))
+    vals, step_a = [Q(2 * k, n) - 1 for k in range(n + 1)], Q(2, n)
+    t_vals, step_t = [Q(k, n_lev) for k in range(n_lev + 1)], Q(1, n_lev)
+    # a ranges over half the sphere faces (joint negation symmetry), u over
+    # all of them: each +1 face, then its points negated.
+    a_nodes, u_nodes = [], []
+    for face in range(d):
+        pts = _face_points(face, ONE, [vals] * (d - 1))
+        a_nodes += pts
+        u_nodes += pts + [(face, tuple(-c for c in p)) for _, p in pts]
+    tau_s0, tau_p0 = margins(step_a, step_t)
+    ka, Ea, Va, slack_a = sphere(a_nodes, tau_s0)
+    ku, Eu, Vu, slack_u = sphere(u_nodes, tau_s0)
+    checked = work = len(a_nodes) * len(u_nodes) * len(t_vals)
+    refinements = 0
+
+    # Suspects (g, a, u, t) in (a, u, t) order, g the float margin, one
+    # a-node at a time (small arrays), then stably sorted by -g.
+    suspects = []
+    for ia in range(len(ka)):
+        ok, g = pair_terms({i: V[ia:ia + 1] for i, V in Va.items()}, Vu,
+                           t_vals, tau_p0)
+        g = np.minimum(g[0], np.minimum(slack_a[ia], slack_u)[:, None])
+        suspects += [(float(g[iu, it]), ia, int(iu), int(it))
+                     for iu, it in zip(*np.nonzero(ok[0]))]
     suspects.sort(key=lambda s: -s[0])
+    exhausted = ("work budget exhausted before all suspects were resolved; "
+                 "raise the budget or the delta")
     straddle = None
-    exhausted = False
     for _, ia, iu, it in suspects:
         if work > q.certify.budget:
-            exhausted = True
-            break
-        a_pt, u_pt = a_nodes[ia][0], u_nodes[iu][0]
-        ce = try_verify(a_pt, u_pt, t_vals[it])
-        if ce is not None:
-            return _ce_report(ce)
-        kind, payload = refine(a_nodes[ia][1], a_nodes[ia][3],
-                               u_nodes[iu][1], u_nodes[iu][2],
-                               u_nodes[iu][3], t_vals[it],
-                               step_a, step_t, q.certify.refine_rounds)
-        if kind == "budget":
-            exhausted = True
-            break
+            return report("undecided", exhausted, straddle=straddle)
+        ce = try_verify(Ea[ia], Eu[iu], t_vals[it])
+        kind, found = ("ce", ce) if ce is not None else refine(
+            a_nodes[ka[ia]], u_nodes[ku[iu]], t_vals[it], step_a, step_t,
+            q.certify.refine_rounds)
         if kind == "ce":
-            return _ce_report(payload)
+            return report("counterexample",
+                          "violating pair found and exactly re-verified "
+                          f"(stage-{q.eval_stage} operative norm)",
+                          counterexample=found)
+        if kind == "budget":
+            return report("undecided", exhausted, straddle=straddle)
         if kind == "undecided" and straddle is None:
-            straddle = payload
-    if exhausted:
-        return CertifyReport(
-            "undecided",
-            "work budget exhausted before all suspects were resolved; "
-            "raise the budget or the delta",
-            q.eval_stage, q.eps, h0, l_rad * step_a + step_t / 2,
-            straddle=straddle,
-            points_checked=checked, refinements=refinements)
+            straddle = found
     if straddle is not None:
-        return CertifyReport(
-            "undecided",
-            "grid margin straddles zero after refinement; decrease delta",
-            q.eval_stage, q.eps, h0, l_rad * step_a + step_t / 2, straddle=straddle,
-            points_checked=checked, refinements=refinements)
-    return CertifyReport(
+        return report("undecided", "grid margin straddles zero after "
+                      "refinement; decrease delta", straddle=straddle)
+    return report(
         "certificate",
         f"the stage-{q.eval_stage} truncated pair is eps-determining "
         "(certified over the normalized parameter grid; the statement "
-        "covers the truncated norms only)",
-        q.eval_stage, q.eps, h0, l_rad * step_a + step_t / 2,
-        points_checked=checked, refinements=refinements)
+        "covers the truncated norms only)")
 
 
 # ---------------------------------------------------------------------------

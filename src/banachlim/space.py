@@ -374,11 +374,6 @@ def _halfspace_polytope(halfspaces, dim):
     return verts
 
 
-def _halfspace_vertices(halfspaces, dim):
-    """Vertices of {x : a.x <= 1}."""
-    return [pt for pt, _ in _halfspace_polytope(halfspaces, dim)]
-
-
 def _symmetric_ball(rows, dim):
     """(vertices, facet flags) of {x : |r.x| <= 1 for every row r}: r.x = 1
     is a facet iff the set of vertices on it is inside no other signed

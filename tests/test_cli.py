@@ -319,6 +319,11 @@ def _search_job(**search):
             "rho": ["1/2"], "eps": "1/2", "mode": "search", "search": search}
 
 
+def _certify_job(**certify):
+    """The canonical n = 2 certify job with the given certify settings."""
+    return {"canonical": "prefix_obstruction", "n": 2, "certify": certify}
+
+
 _SYSTEM_JOB = json.dumps({"builtin": "l1_drop", "stages": 3})
 _CURVE_JOB = json.dumps({
     "curve": {"system": {"builtin": "l1_drop", "stages": 5},
@@ -341,10 +346,18 @@ _UNWRITABLE = ["--out", "{tmp}/missing/r.json"]
     ("determine", json.dumps(_search_job(starts=-3)), []),
     ("determine", json.dumps(_search_job(starts=1, iters=2.5)), []),
     ("determine", json.dumps(_search_job(starts=1, max_den=0)), []),
+    ("determine", json.dumps(_certify_job(delta="-1")), []),
+    ("determine", json.dumps(_certify_job(refine_rounds=-3)), []),
+    ("determine", json.dumps(_certify_job(budget=-5)), []),
+    ("determine", json.dumps(_certify_job(dim_cap=0)), []),
+    ("determine", json.dumps(_certify_job(dim_cap="x")), []),
 ], ids=["unreadable", "malformed-json", "zero-denominator", "top-level-list",
         "list-as-space", "unwritable-report", "unwritable-dual",
         "unwritable-csv", "search-without-start", "search-negative-starts",
-        "search-fractional-iters", "search-zero-max-den"])
+        "search-fractional-iters", "search-zero-max-den",
+        "certify-negative-delta", "certify-negative-rounds",
+        "certify-negative-budget", "certify-zero-dim-cap",
+        "certify-string-dim-cap"])
 def test_bad_inputs_exit_three(tmp_path, capsys, command, text, extra):
     path = tmp_path / "job.json"
     if text is not None:

@@ -79,6 +79,17 @@ def test_search_config_validation(field, value):
         SearchConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("delta", 0), ("delta", Q(-1)), ("delta", True), ("delta", "x"),
+    ("refine_rounds", -3), ("refine_rounds", 1.0), ("dim_cap", 0),
+    ("dim_cap", "x"), ("budget", -5), ("budget", False)])
+def test_certify_config_validation(field, value):
+    assert CertifyConfig(delta="1/8", refine_rounds=0, dim_cap=1,
+                         budget=0).delta == Q(1, 8)
+    with pytest.raises(ValueError):
+        CertifyConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # Exact pair verification
 
@@ -286,6 +297,61 @@ def test_certify_monotone_in_rho():
                              RhoSchedule((Q(1, 8), Q(1, 8))), base.eps,
                              base.eval_stage, certify=base.certify)
     assert eps_determining_certify(tight).kind != "counterexample"
+
+
+def _tail_query(norm, tail, rho, eps, delta, rounds, budget):
+    builder = {"l1": l1_drop_system, "linf": linf_drop_system}[norm]
+    sys_ = builder(len(tail))
+    gen = generator_from_tail(sys_, [[Q(x) for x in row] for row in tail])
+    return DeterminingQuery(
+        sys_, gen, RhoSchedule(tuple(Q(r) for r in rho)), Q(eps), len(tail),
+        certify=CertifyConfig(delta=Q(delta), refine_rounds=rounds,
+                              budget=budget))
+
+
+_TAIL_CERT = [[1, -2], [0, 1], [1, 2], [0, 0], [-1, 0], [2, 1]]
+_TAIL_NEAR = [[-2, 2], [1, -2], [1, -1], [0, 0], [-2, 2], [2, 2]]
+_TAIL_D3 = [[0, 2, 0], [-2, 0, 1], [-1, 1, 2], [-2, -1, -1]]
+_TAIL_CE = [[1, -2], [2, 2], [0, -1], [0, -1], [0, 0]]
+_BUDGET = CertifyConfig.budget
+
+
+@pytest.mark.parametrize("query, kind, checked, refinements, points", [
+    (("linf", _TAIL_CERT, ["5/12", "1/12"], 2, "1/8", 2, _BUDGET),
+     "certificate", 21024, 15, None),
+    (("linf", _TAIL_NEAR, ["1/4", "1/12"], 2, "1/16", 2, _BUDGET),
+     "counterexample", 156929, 79, (["1/2", "0"], ["-1/66", "-16/33"])),
+    (("linf", _TAIL_NEAR, ["1/4", "1/12"], 2, "1/8", 2, _BUDGET),
+     "straddle", 53648, 595,
+     (["128/257", "-1/514"], ["-15/542", "-128/271"], "1")),
+    (("linf", _TAIL_NEAR, ["1/4", "1/12"], 2, "1/8", 2, 150000),
+     "budget", 30023, 118,
+     (["128/257", "-1/514"], ["-15/542", "-128/271"], "1")),
+    (("l1", _TAIL_D3, ["1/12"], "5/8", "1/2", 1, 400000), "budget", 43974, 132,
+     (["-7/81", "32/81", "-22/81"], ["-7/81", "32/81", "-22/81"], "1/16")),
+    (("linf", _TAIL_CE, ["1/2"], 2, "1/8", 2, _BUDGET),
+     "counterexample", 20808, 0, (["2/3", "-1/6"], ["0", "-1/2"])),
+    (None, "counterexample", 38808, 0, (["2", "-1"], ["1", "0"])),
+], ids=["certificate", "refined-counterexample", "straddle", "budget",
+        "budget-d3", "coarse-counterexample", "canonical-counterexample"])
+def test_certify_sweep_output_is_pinned(query, kind, checked, refinements,
+                                        points):
+    # Pinned counts and points: a change in the order in which the sweep
+    # visits its nodes, or in the nodes it keeps, moves them.
+    q = (prefix_obstruction_query(2, certify=CertifyConfig(delta=Q(1, 10)))
+         if query is None else _tail_query(*query))
+    rep = eps_determining_certify(q)
+    assert (rep.kind, rep.points_checked, rep.refinements) == (
+        "undecided" if kind in ("straddle", "budget") else kind, checked,
+        refinements)
+    assert ("budget" in rep.statement) == (kind == "budget")
+    if rep.counterexample is not None:
+        got = (rep.counterexample.a, rep.counterexample.a_prime)
+    else:
+        got = rep.straddle and rep.straddle[:3]
+    want = points and tuple(tuple(Q(x) for x in p) if isinstance(p, list)
+                            else Q(p) for p in points)
+    assert got == want
 
 
 def test_search_certify_agreement_random():

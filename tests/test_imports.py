@@ -1,7 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private function is used somewhere in the package.
 
-Only the standard library's ast is used.  The package __init__ is exempt:
-its imports are the public re-exports.
+Only the standard library's ast is used.  The package __init__ is exempt
+from the import check: its imports are the public re-exports.
 """
 
 import ast
@@ -29,6 +30,31 @@ def unused_imports(source):
                   if name not in used)
 
 
+def unreferenced_private_defs(sources):
+    """(module, name) of each module-level private function in sources (a
+    mapping of module name to source text) that no top-level statement
+    other than its own definition names, as a name, an attribute or an
+    imported name."""
+    defs, refs = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defs.append((module, own))
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            refs.append((own, names))
+    return sorted((module, name) for module, name in defs
+                  if not any(name in names and own != name
+                             for own, names in refs))
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == \
         [(1, "os"), (2, "b")]
@@ -37,3 +63,15 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_unreferenced_private_function():
+    sources = {"a": "def _loop():\n    _loop()\n\n\ndef _used():\n    pass\n",
+               "b": "from a import _used\n\n\ndef _dead():\n    pass\n"}
+    assert unreferenced_private_defs(sources) == [("a", "_loop"),
+                                                  ("b", "_dead")]
+
+
+def test_every_private_function_is_used():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_defs(sources) == []

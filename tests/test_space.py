@@ -12,7 +12,7 @@ from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              NormedSpace, NormSpecError, VPolytope,
                              ball_extreme_points, dual_space, hpoly_space,
                              lp_space, norm_eval, norm_eval_sq,
-                             _halfspace_vertices,
+                             _halfspace_polytope,
                              space_from_json, space_to_json,
                              validate_norm_spec, vpoly_space)
 
@@ -176,8 +176,8 @@ def test_hpoly_vertices_vs_subset_oracle():
             while a is None:    # no such row through, say, both v and -v
                 a = linalg.solve(rng.sample(sorted(got), dim), [ONE] * dim)
             halfspaces += [a, tuple(-x for x in a)]
-            assert set(_halfspace_vertices(halfspaces, dim)) == \
-                vertices_by_subset_enum(halfspaces, dim)
+            assert {pt for pt, _ in _halfspace_polytope(halfspaces, dim)} \
+                == vertices_by_subset_enum(halfspaces, dim)
     # Cross-polytopes: every vertex lies on 2^(d-1) facets.
     for dim in (3, 4):
         S = hpoly_space([(ONE,) + s for s in
