@@ -27,9 +27,9 @@ from .systems import (InverseSystem, compatible_from_tail, dualize,
                       system_from_json, system_to_json, validate_standard,
                       SubspaceGenerator)
 from .determining import (CertifyConfig, DeterminingQuery, RhoSchedule,
-                          SearchConfig, _equivalence, anp_diagnostic,
-                          dp_diagnostic, eps_determining_certify,
-                          eps_determining_search, gfda_check,
+                          SearchConfig, anp_diagnostic, dp_diagnostic,
+                          eps_determining_certify, eps_determining_search,
+                          equivalence_witness, gfda_check,
                           prefix_obstruction_query)
 from . import curves as curves_mod
 
@@ -239,7 +239,8 @@ def cmd_quotient_check(args, job):
     }, 0 if qv.verdict else 1
 
 
-def _parse_query(job, args):
+def _configs(job, args):
+    """The job's SearchConfig (seed overridden by --seed) and CertifyConfig."""
     search = SearchConfig(**job.get("search", {}))
     if args.seed is not None:
         search = SearchConfig(search.starts, search.iters, args.seed,
@@ -247,8 +248,26 @@ def _parse_query(job, args):
     certify_kw = dict(job.get("certify", {}))
     if "delta" in certify_kw:
         certify_kw["delta"] = parse_scalar(certify_kw["delta"])
-    certify = CertifyConfig(**certify_kw)
+    return search, CertifyConfig(**certify_kw)
+
+
+def _query_on(system, gen, job, args):
+    """The DeterminingQuery of a job's rho, eps and eval_stage on gen."""
+    search, certify = _configs(job, args)
+    rho = RhoSchedule(tuple(parse_scalar(r) for r in job["rho"]))
+    eval_stage = int(job.get("eval_stage", gen.top_stage))
+    return DeterminingQuery(system, gen, rho, parse_scalar(job["eps"]),
+                            eval_stage, search=search, certify=certify)
+
+
+def _generator(system, mats):
+    return SubspaceGenerator(system, [[_vec(row) for row in mat]
+                                      for mat in mats])
+
+
+def _parse_query(job, args):
     if "canonical" in job:
+        search, certify = _configs(job, args)
         if job["canonical"] != "prefix_obstruction":
             raise ValueError(f"unknown canonical query {job['canonical']!r}")
         eps = parse_scalar(job.get("eps", "1/2"))
@@ -262,13 +281,8 @@ def _parse_query(job, args):
         gen = generator_from_tail(system,
                                   [_vec(row) for row in gen_obj["tail"]])
     else:
-        gen = SubspaceGenerator(system,
-                                [[_vec(row) for row in mat]
-                                 for mat in gen_obj])
-    rho = RhoSchedule(tuple(parse_scalar(r) for r in job["rho"]))
-    eval_stage = int(job.get("eval_stage", gen.top_stage))
-    return DeterminingQuery(system, gen, rho, parse_scalar(job["eps"]),
-                            eval_stage, search=search, certify=certify)
+        gen = _generator(system, gen_obj)
+    return _query_on(system, gen, job, args)
 
 
 def cmd_determine(args, job):
@@ -307,18 +321,9 @@ def _certify_out(res):
 
 def cmd_gfda_check(args, job):
     system = _load_system(job["system"], args)
-    gen = SubspaceGenerator(system, [[_vec(row) for row in mat]
-                                     for mat in job["generator"]])
-    query = None
-    if "query" in job:
-        sub = dict(job["query"])
-        sub["system"] = job["system"]
-        sub["generator"] = job["generator"]
-        query = _parse_query(sub, args)
-        if query.system is not system:     # reuse the loaded system
-            query = DeterminingQuery(system, gen, query.rho, query.eps,
-                                     query.eval_stage, search=query.search,
-                                     certify=query.certify)
+    gen = _generator(system, job["generator"])
+    query = (_query_on(system, gen, job["query"], args) if "query" in job
+             else None)
     rep = gfda_check(system, gen, int(job["stages"]), query)
     return {
         "system": system.label,
@@ -355,7 +360,7 @@ def cmd_anp_dp(args, job):
     report = {"system": system.label, "dp": _diag_out(dp),
               "anp": _diag_out(anp)}
     if anp.weak_star_convergent:
-        eq = _equivalence(seq, tol, dp, anp)
+        eq = equivalence_witness(seq, tol, dp, anp)
         report["equivalence"] = {
             "agree": eq.agree,
             "stage": eq.stage_i,

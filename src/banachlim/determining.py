@@ -30,9 +30,8 @@ import numpy as np
 from . import linalg
 from .linmap import is_quotient_map, linear_map
 from .scalar import ONE, Q, ZERO, rationalize, sqrt_bracket, to_float
-from .space import (NormedSpace, ball_extreme_points, ball_form, dual_space,
-                    hpoly_space, min_norm_lp, norm_eval, norm_eval_sq,
-                    vpoly_space)
+from .space import (NormedSpace, ball_extreme_points, dual_space, hpoly_space,
+                    norm_eval, norm_eval_sq, vpoly_space)
 from .systems import (InverseSystem, SubspaceGenerator, invlim_convergence,
                       linf_drop_system, project)
 
@@ -157,8 +156,8 @@ def verify_pair(q: DeterminingQuery, a, a_prime):
     scale invariant, so no normalization of (a, a') is required.  Ties
     count as failures; returns a Counterexample or None."""
     gen, M, N = q.gen, q.eval_stage, q.rho.length
-    a = linalg.vec(a)
-    ap = linalg.vec(a_prime)
+    a = gen.param_vector(a)
+    ap = gen.param_vector(a_prime)
     top = q.system.stage(M)
     vs, brs = [], []
     for x in (a, ap):
@@ -338,10 +337,14 @@ def parameter_space(gen: SubspaceGenerator, stage: int) -> NormedSpace:
     """Pull the stage norm back to parameter space through g_stage
     (requires an injective presentation at that stage)."""
     G = gen.matrix(stage)
-    d = gen.param_dim
-    if linalg.rank(G) != d:
+    if linalg.rank(G) != gen.param_dim:
         raise ValueError("generator not injective at the requested stage")
-    spec = gen.system.stage(stage).spec
+    return _pullback(gen.system.stage(stage), G)
+
+
+def _pullback(space: NormedSpace, G) -> NormedSpace:
+    """The norm a -> ||G a|| of space, for G of full column rank."""
+    spec = space.spec
     if spec.kind == "hpoly":
         return hpoly_space(linalg.mat_mul(spec.functionals, G))
     if spec.kind == "lp" and spec.p == "inf":
@@ -358,31 +361,24 @@ def parameter_space(gen: SubspaceGenerator, stage: int) -> NormedSpace:
             rows = ([linalg.vec_add(row, r) for row in rows]
                     + [linalg.vec_sub(row, r) for row in rows])
         return hpoly_space(rows)
-    if spec.kind == "vpoly" and len(G) == d:
+    if spec.kind == "vpoly" and len(G) == len(G[0]):
         Ginv = linalg.inverse(G)
         return vpoly_space([linalg.mat_vec(Ginv, v) for v in spec.vertices])
     raise ValueError(
         f"cannot pull a {spec.kind} norm back to parameter space")
 
 
-def _min_on_cube_sphere(space: NormedSpace):
-    """Exact minimum of the norm over the l-inf unit sphere via one LP
-    per cube face (x_face = 1 suffices by symmetry)."""
-    if ball_form(space.spec) is None:
-        raise ValueError("no exact face minimum for this norm kind")
-    d = space.dim
-    eye = linalg.identity(d)
-    best = None
-    for face in range(d):
-        box = [r for k in range(d) if k != face
-               for r in (eye[k], linalg.vec_scale(-1, eye[k]))]
-        res = min_norm_lp(space.spec, (eye[face],), (ONE,), box,
-                          (ONE,) * len(box))
-        if res is None:
-            raise ValueError("face minimization LP failed")
-        if best is None or res[0] < best:
-            best = res[0]
-    return best
+def _cube_constants(nu: NormedSpace):
+    """(max, min) of the polytopal norm nu over the l-inf unit sphere, read
+    off the cached vertex lists, with no LP.  nu(x) is the largest psi.x
+    over the vertices psi of the dual ball, and psi.x peaks over the cube
+    at ||psi||_1.  nu(x) = ||x||_inf / ||y||_inf for y = x / nu(x) on the
+    unit sphere of nu, so the min is 1 / the largest ||y||_inf over the
+    ball, taken at a vertex.  NormSpecError above the vertex-enumeration
+    cap."""
+    return (max(sum(map(abs, psi), ZERO)
+                for psi in ball_extreme_points(dual_space(nu))),
+            1 / max(max(map(abs, e)) for e in ball_extreme_points(nu)))
 
 
 @dataclass(frozen=True)
@@ -438,10 +434,7 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
         raise ValueError(f"parameter dimension {d} above certification cap")
     nu = parameter_space(q.gen, q.eval_stage)
 
-    # Norm equivalence constants against the parameter cube.
-    c_max = max(norm_eval(nu, (ONE,) + s)
-                for s in itertools.product((ONE, -ONE), repeat=d - 1))
-    c_min = _min_on_cube_sphere(nu)
+    c_max, c_min = _cube_constants(nu)
     l_rad = 2 * c_max / c_min          # radial projection, cube -> nu sphere
     fq = _FloatQuery(q)
 
@@ -708,22 +701,21 @@ class EquivalenceReport:
     identity_holds: bool
 
 
-def equivalence_witness(seq, tol=Q(1, 10**6)) -> EquivalenceReport:
+def equivalence_witness(seq, tol=Q(1, 10**6), dp=None,
+                        anp=None) -> EquivalenceReport:
     """Evaluates both sequence criteria and the exact three-term
     decomposition
         ||v_k|| - ||w|| = (||v_k|| - ||pi_i v_k||)
                         + (||pi_i v_k|| - ||pi_i w||)
                         + (||pi_i w|| - ||w||)
-    at the first (i, k) where the outer terms are small.  Disagreement of
-    the two verdicts is a bug signal, never a result."""
+    at the first (i, k) where the outer terms are small; pi_i w is the ANP
+    stage-i limit, the stage-i vector of the last element.  dp and anp,
+    when given, are the two diagnostics of seq at tol, and are not
+    recomputed.  Disagreement of the two verdicts is a bug signal, never a
+    result."""
     tol = Q(tol)
-    return _equivalence(seq, tol, dp_diagnostic(seq, tol),
-                        anp_diagnostic(seq, tol))
-
-
-def _equivalence(seq, tol, dp, anp) -> EquivalenceReport:
-    """equivalence_witness from the two diagnostics of seq at tol; pi_i w
-    is the ANP stage-i limit, the stage-i vector of the last element."""
+    dp = dp_diagnostic(seq, tol) if dp is None else dp
+    anp = anp_diagnostic(seq, tol) if anp is None else anp
     if not anp.weak_star_convergent:
         raise ValueError("sequence is not stagewise convergent within tol")
     M = _common_stage(seq)
@@ -736,13 +728,13 @@ def _equivalence(seq, tol, dp, anp) -> EquivalenceReport:
     space_i = system.stage(stage_i)
     wi = project(seq[-1], stage_i)
 
-    def unsettled(cv):
-        return (norm_eval(space_i, linalg.vec_sub(project(cv, stage_i), wi))
-                >= third or abs(norm_eval(top, project(cv, M)) - nw) >= third)
+    def unsettled(k):
+        return anp.norm_residuals[k] >= third or norm_eval(
+            space_i, linalg.vec_sub(project(seq[k], stage_i), wi)) >= third
 
     # One past the last unsettled term, found from the end (the last index
     # when that term is the last).
-    bad = next((k for k in reversed(range(len(seq))) if unsettled(seq[k])), -1)
+    bad = next((k for k in reversed(range(len(seq))) if unsettled(k)), -1)
     onset_k = min(bad + 1, len(seq) - 1)
     cv = seq[onset_k]
     nk = norm_eval(top, project(cv, M))
@@ -795,10 +787,9 @@ def gfda_check(system: InverseSystem, gen: SubspaceGenerator, stages: int,
         if linalg.rank(G) == 0:
             raise ValueError(f"zero generator matrix at stage {i}")
         B = _basis_matrix(G)
-        image = parameter_space(
-            SubspaceGenerator(_single_stage_view(system, i), [B]), 1)
-        X = _coordinates(B, G)
-        verdicts.append(is_quotient_map(linear_map(domain, image, X)))
+        image = _pullback(system.stage(i), B)
+        verdicts.append(is_quotient_map(linear_map(domain, image,
+                                                   _coordinates(B, G))))
     if query is None:
         n = max(1, min(stages, M - 1))
         query = DeterminingQuery(system, gen, RhoSchedule((Q(1, 2),) * n),
@@ -806,13 +797,6 @@ def gfda_check(system: InverseSystem, gen: SubspaceGenerator, stages: int,
     cert = eps_determining_certify(query)
     passes = all(v.verdict for v in verdicts) and cert.kind == "certificate"
     return GfdaReport(tuple(verdicts), cert, passes)
-
-
-def _single_stage_view(system, i):
-    """One-stage inverse system exposing stage i (lets parameter_space
-    induce the subspace norm on an image basis)."""
-    return InverseSystem(lambda j: system.stage(i), lambda j: None, 1,
-                         f"{system.label}|{i}")
 
 
 def rescaled_image_presentation(system: InverseSystem,
@@ -825,19 +809,15 @@ def rescaled_image_presentation(system: InverseSystem,
     M = gen.top_stage
     domain = parameter_space(gen, M)
     extremes = ball_extreme_points(domain)
-    spaces, mats = [], []
-    for i in range(1, M + 1):
-        B = _basis_matrix(gen.matrix(i))
-        X = _coordinates(B, gen.matrix(i))
-        mats.append(X)
-        spaces.append(vpoly_space([linalg.mat_vec(X, e) for e in extremes],
-                                  label=f"rescaled_{i}"))
-    bonds = []
-    for i in range(1, M):
-        B_i = _basis_matrix(gen.matrix(i))
-        B_next = _basis_matrix(gen.matrix(i + 1))
-        theta = _coordinates(B_i, system.bond(i).mat_mul(B_next))
-        bonds.append(linear_map(spaces[i], spaces[i - 1], theta))
+    bases = [_basis_matrix(gen.matrix(i)) for i in range(1, M + 1)]
+    mats = [_coordinates(B, gen.matrix(i)) for i, B in enumerate(bases, 1)]
+    spaces = [vpoly_space([linalg.mat_vec(X, e) for e in extremes],
+                          label=f"rescaled_{i}")
+              for i, X in enumerate(mats, 1)]
+    bonds = [linear_map(spaces[i], spaces[i - 1],
+                        _coordinates(bases[i - 1],
+                                     system.bond(i).mat_mul(bases[i])))
+             for i in range(1, M)]
     new_system = InverseSystem(lambda j: spaces[j - 1],
                                lambda j: bonds[j - 1], M,
                                f"{system.label}-rescaled")

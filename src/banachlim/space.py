@@ -8,8 +8,12 @@ decides which rows (for generators, on the polar) a polytope space keeps,
 and a V-polytope norm is the largest psi.x over the cached facet normals
 psi (the vertices of its polar); above it, each is one exact LP per
 candidate or evaluation.  hull_gauge reads a one-off ball, evaluated at a
-batch of points, off its facets up to the vertex-enumeration cap.  Every
-exact LP that minimizes a polytopal norm is built by min_norm_lp.
+batch of points, off its facets up to the vertex-enumeration cap.
+ball_extreme_points lists a ball's vertices (a row ball's from the cached
+enumeration, up to that cap), so extremes of a linear or convex function
+over a ball are maxima over a finite list, with no LP.  Every exact LP
+that minimizes a polytopal norm under linear equations is built by
+min_norm_lp.
 
 All polytope geometry is exact rational; the only approximate quantity is
 the l2 norm value itself (its square is exact).
@@ -163,13 +167,13 @@ def ball_form(spec):
                          for i, w in enumerate(spec.weights))
 
 
-def min_norm_lp(spec, E, e, C=(), c=()):
-    """(value, x) minimizing the polytopal norm ||x|| subject to E x = e and
-    C x <= c, as one exact LP; None when the constraints are infeasible.
+def min_norm_lp(spec, E, e):
+    """(value, x) minimizing the polytopal norm ||x|| subject to E x = e, as
+    one exact LP; None when the equations are infeasible.
 
-    Rows form: free x, the caller's rows, then t with +-r.x <= t for every
-    row r; minimize t.  Generators form: substitute x = G^T (l+ - l-) with
-    l+, l- >= 0 and minimize sum(l+ + l-)."""
+    Rows form: free x, the caller's equations, then t with +-r.x <= t for
+    every row r; minimize t.  Generators form: substitute
+    x = G^T (l+ - l-) with l+, l- >= 0 and minimize sum(l+ + l-)."""
     kind, B = ball_form(spec)
     lp = LinearProgram()
     if kind == "rows":
@@ -189,8 +193,6 @@ def min_norm_lp(spec, E, e, C=(), c=()):
             return out
     for a, rhs in zip(E, e):
         lp.add_eq(coeffs(a), rhs)
-    for a, rhs in zip(C, c):
-        lp.add_le(coeffs(a), rhs)
     if kind == "rows":
         t = lp.var()
         for r in B:

@@ -364,8 +364,16 @@ class SubspaceGenerator:
     def matrix(self, i):
         return self.matrices[i - 1]
 
+    def param_vector(self, a):
+        """a as an exact parameter vector; ValueError unless it has
+        param_dim entries (a matrix product would silently truncate it)."""
+        if len(a) != self.param_dim:
+            raise ValueError(f"parameter vector length {len(a)} != "
+                             f"param_dim {self.param_dim}")
+        return linalg.vec(a)
+
     def member(self, a, limit_norm=None) -> CompatibleVector:
-        a = linalg.vec(a)
+        a = self.param_vector(a)
         stages = tuple(linalg.mat_vec(m, a) for m in self.matrices)
         return CompatibleVector(self.system, stages, limit_norm)
 

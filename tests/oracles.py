@@ -15,6 +15,19 @@ from banachlim.simplex import LinearProgram, OPTIMAL
 from banachlim.space import norm_eval, norm_eval_sq
 
 
+def count_lp_solves(monkeypatch):
+    """List that gains one entry per LinearProgram.solve call."""
+    solves = []
+    solve = LinearProgram.solve
+
+    def counted(self):
+        solves.append(self)
+        return solve(self)
+
+    monkeypatch.setattr(LinearProgram, "solve", counted)
+    return solves
+
+
 def hull_contains(vertices, x):
     """Is x in conv(+-vertices)?  LP feasibility, independent of gauge."""
     lp = LinearProgram()
@@ -34,6 +47,52 @@ def hull_contains(vertices, x):
     lp.minimize({})
     status, _, _ = lp.solve()
     return status == OPTIMAL
+
+
+def min_norm_on_cube_sphere(space):
+    """Exact min of a polytopal norm over the l-inf unit sphere: one LP per
+    cube face x_f = 1, |x_k| <= 1 (the -1 faces mirror them).  Rows r
+    (hpoly, linf) give ||x|| = min t with +-r.x <= t; generators g (vpoly,
+    l1) give min sum(l+ + l-) with x = sum (l+ - l-) g."""
+    spec, d = space.spec, space.dim
+    if spec.kind == "hpoly":
+        rows, gens = spec.functionals, None
+    elif spec.kind == "vpoly":
+        rows, gens = None, spec.vertices
+    else:       # weighted l1 / linf: the axes scaled by 1/w or by w
+        scale = (lambda w: w) if spec.p == "inf" else (lambda w: ONE / w)
+        axes = [[scale(w) if j == i else ZERO for j in range(d)]
+                for i, w in enumerate(spec.weights)]
+        rows, gens = (axes, None) if spec.p == "inf" else (None, axes)
+    best = None
+    for face in range(d):
+        lp = LinearProgram()
+        xs = [lp.var(free=True) for _ in range(d)]
+        for k, x in enumerate(xs):
+            if k == face:
+                lp.add_eq({x: ONE}, ONE)
+            else:
+                lp.add_le({x: ONE}, ONE)
+                lp.add_le({x: -ONE}, ONE)
+        if rows is not None:
+            t = lp.var()
+            for r in rows:
+                for sgn in (ONE, -ONE):
+                    lp.add_le({**{x: sgn * c for x, c in zip(xs, r)},
+                               t: -ONE}, ZERO)
+            lp.minimize({t: ONE})
+        else:
+            lam = [(lp.var(), lp.var()) for _ in gens]
+            for k, x in enumerate(xs):
+                coeffs = {x: ONE}
+                for (hp, hn), g in zip(lam, gens):
+                    coeffs[hp], coeffs[hn] = -g[k], g[k]
+                lp.add_eq(coeffs, ZERO)
+            lp.minimize({h: ONE for pair in lam for h in pair})
+        status, _, value = lp.solve()
+        assert status == OPTIMAL
+        best = value if best is None else min(best, value)
+    return best
 
 
 def gauge_by_ray_bisection(vertices, x, tol=1e-10):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import time
 
@@ -6,8 +7,8 @@ import pytest
 
 from banachlim import determining, linalg
 from banachlim.scalar import Q, ZERO, ONE
-from banachlim.space import (ball_extreme_points, hpoly_space, lp_space,
-                             norm_eval, vpoly_space)
+from banachlim.space import (NormSpecError, hpoly_space, lp_space, norm_eval,
+                             vpoly_space)
 from banachlim.linmap import linear_map
 from banachlim.systems import (InverseSystem, SubspaceGenerator,
                                compatible_from_tail, generator_from_tail,
@@ -21,9 +22,9 @@ from banachlim.determining import (CertifyConfig, DeterminingQuery,
                                    equivalence_witness, gfda_check,
                                    parameter_space, prefix_obstruction_query,
                                    rescaled_image_presentation, verify_pair)
-from banachlim.determining import _min_on_cube_sphere
 
-from oracles import random_spanning_vectors, sequential_search_reference
+from oracles import (count_lp_solves, min_norm_on_cube_sphere,
+                     random_spanning_vectors, sequential_search_reference)
 
 HALF = Q(1, 2)
 
@@ -115,6 +116,20 @@ def test_verify_pair_rejects_separated_only():
     # Same direction twice: separation fails (zero difference).
     q = prefix_obstruction_query(3)
     assert verify_pair(q, (ONE, ZERO), (ONE, ZERO)) is None
+
+
+def test_parameter_vectors_of_the_wrong_length_are_rejected():
+    # A matrix product would silently drop the extra entry (or read a
+    # short vector as a shorter slice) and return a Counterexample.
+    q = prefix_obstruction_query(4)
+    for a, b in (((1, 0, 7), (0, 1, -3)), ((1, 0), (1,)), ((), (0, 1))):
+        with pytest.raises(ValueError, match="param_dim"):
+            verify_pair(q, a, b)
+    for a in ((1, 0, 7), (1,), ()):
+        with pytest.raises(ValueError, match="param_dim"):
+            q.gen.member(a)
+    assert q.gen.member((1, 0)).stages == tuple(
+        linalg.mat_vec(m, (ONE, ZERO)) for m in q.gen.matrices)
 
 
 def test_verify_pair_tie_counts_as_failure():
@@ -553,19 +568,53 @@ def test_rescaled_presentation_top_norm_unchanged():
         assert norm_eval(dom, a) == norm_eval(rdom, a)
 
 
-def test_min_on_cube_sphere_matches_extreme_point_oracle():
-    # min ||x|| over the l-inf unit sphere is 1 / max ||e||_inf over the
-    # extreme points e of the unit ball.
+def test_cube_constants_match_the_face_lp_and_cube_vertex_oracles():
+    # The max of the norm over the l-inf unit sphere, read off the dual
+    # ball's vertices, is its max over the cube's vertices; the min, read
+    # off the ball's vertices, is the least of one LP per cube face.
     rng = random.Random(101)
-    for _ in range(3):
-        d = rng.choice([2, 3])
-        w = [Q(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(d)]
-        vecs = random_spanning_vectors(rng, d, d + 2)
-        for space in (lp_space(1, weights=w), lp_space("inf", weights=w),
-                      hpoly_space(vecs), vpoly_space(vecs)):
-            top = max(max(abs(c) for c in e)
-                      for e in ball_extreme_points(space))
-            assert _min_on_cube_sphere(space) == 1 / top
+    for d in (1, 2, 3, 4):
+        for _ in range(2):
+            w = [Q(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(d)]
+            vecs = random_spanning_vectors(rng, d, d + 2)
+            for space in (lp_space(1, weights=w), lp_space("inf", weights=w),
+                          hpoly_space(vecs), vpoly_space(vecs)):
+                top = max(norm_eval(space, s) for s in
+                          itertools.product((ONE, -ONE), repeat=d))
+                assert determining._cube_constants(space) == (
+                    top, min_norm_on_cube_sphere(space)), (d, space.spec)
+
+
+def test_certify_and_gfda_solve_no_lp(monkeypatch):
+    # Criterion-8-style queries (drop systems, random injective d = 2
+    # tails) and one gfda_check read every constant off cached vertex
+    # lists.  Above the vertex-enumeration cap the sweep refuses, naming
+    # the cap, rather than fall back to LPs.
+    solves = count_lp_solves(monkeypatch)
+    rng = random.Random(808)
+    kinds = set()
+    for builder in (l1_drop_system, linf_drop_system) * 2:
+        M = rng.randint(4, 6)
+        tail = [[Q(rng.randint(-2, 2)) for _ in range(2)] for _ in range(M)]
+        if linalg.rank(tail) < 2:
+            tail[0], tail[1] = [ONE, ZERO], [ZERO, ONE]
+        sys_ = builder(M)
+        q = DeterminingQuery(sys_, generator_from_tail(sys_, tail),
+                             RhoSchedule((Q(rng.randint(1, 6), 12),)),
+                             Q(rng.randint(1, 8), 8), M,
+                             certify=CertifyConfig(delta=Q(1, 8),
+                                                   refine_rounds=2,
+                                                   budget=300000))
+        kinds.add(eps_determining_certify(q).kind)
+    sys_, gen = _flip_instance()
+    assert not gfda_check(sys_, gen, 3).passes
+    assert len(solves) == 0 and len(kinds) > 1
+    nu = parameter_space(q.gen, q.eval_stage)
+    assert min_norm_on_cube_sphere(nu) == determining._cube_constants(nu)[1]
+    assert len(solves) > 0
+    monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "1")
+    with pytest.raises(NormSpecError, match="vertex-enumeration cap 1"):
+        eps_determining_certify(prefix_obstruction_query(2))
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +668,8 @@ def test_sequence_diagnostics_match_the_forward_definitions():
                     assert (rep.onsets, rep.stage_limits, rep.converges) == (
                         want["onsets"], want["stage_limits"],
                         want["converges"])
-                    assert dp_diagnostic(seq, tol).uniformity == \
-                        want["uniformity"]
+                    dp = dp_diagnostic(seq, tol)
+                    assert dp.uniformity == want["uniformity"]
                     anp = anp_diagnostic(seq, tol)
                     for key in ("norm_residuals", "strong_residuals",
                                 "norm_converges", "strong_converges"):
@@ -629,6 +678,9 @@ def test_sequence_diagnostics_match_the_forward_definitions():
                         eq = equivalence_witness(seq, tol)
                         assert (eq.stage_i, eq.onset_k, eq.terms) == (
                             want["stage_i"], want["onset_k"], want["terms"])
+                        # Passed-in diagnostics (as anp-dp passes them)
+                        # give the same report.
+                        assert equivalence_witness(seq, tol, dp, anp) == eq
                     else:
                         with pytest.raises(ValueError):
                             equivalence_witness(seq, tol)

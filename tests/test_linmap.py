@@ -10,12 +10,11 @@ from banachlim.linmap import (EXACT, SAMPLED_BOUND, LinearMap, RangeError,
                               is_one_lipschitz, is_quotient_map, linear_map,
                               map_from_json, map_to_json, min_norm_preimage,
                               operator_norm, quotient_norm)
-from banachlim.simplex import LinearProgram
 from banachlim.space import (NormedSpace, VPolytope, ball_extreme_points,
                              hpoly_space, lp_space, norm_eval, norm_eval_sq,
                              vpoly_space)
 
-from oracles import (hull_contains, random_rational_vector,
+from oracles import (count_lp_solves, hull_contains, random_rational_vector,
                      random_spanning_vectors)
 
 
@@ -284,19 +283,6 @@ def test_uncovered_target_vertex_fails_both_verdicts():
         assert min_norm_preimage(adjoint(A), ev.witness)[1] > 1
 
 
-def _count_lp_solves(monkeypatch):
-    """List that gains one entry per LinearProgram.solve call."""
-    solves = []
-    solve = LinearProgram.solve
-
-    def counted(self):
-        solves.append(self)
-        return solve(self)
-
-    monkeypatch.setattr(LinearProgram, "solve", counted)
-    return solves
-
-
 def test_cover_and_lp_routes_agree(monkeypatch):
     rng = random.Random(89)
     maps = []
@@ -308,7 +294,7 @@ def test_cover_and_lp_routes_agree(monkeypatch):
         return [(is_quotient_map(T), is_isometric_embedding(adjoint(T)))
                 for T in maps]
 
-    solves = _count_lp_solves(monkeypatch)
+    solves = count_lp_solves(monkeypatch)
     facet_route = verdicts()
     assert len(solves) == 0
     monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "1")
@@ -354,7 +340,7 @@ def test_a_maps_round_solves_no_lp(monkeypatch):
     # Up to dimension 4 every build, norm, operator norm (witness included)
     # and verdict is read off cached vertex enumerations; with the cap at 1
     # the same values and verdicts come from LPs.
-    solves = _count_lp_solves(monkeypatch)
+    solves = count_lp_solves(monkeypatch)
     enumerated = _maps_round(random.Random(113))
     assert len(solves) == 0
     assert enumerated[-2:] == [(linmap.MapVerdict(True),) * 2] * 2
@@ -410,7 +396,7 @@ def test_listed_non_extreme_target_point_is_covered(monkeypatch):
     L = LinearMap(lp_space(2, 1), NormedSpace(1, VPolytope(((ONE,),
                                                             (Q(1, 2),)))),
                   ((ONE,),))
-    solves = _count_lp_solves(monkeypatch)
+    solves = count_lp_solves(monkeypatch)
     assert is_quotient_map(T) == linmap.MapVerdict(True)
     assert len(solves) == 0
     assert is_quotient_map(L) == linmap.MapVerdict(True)
@@ -493,7 +479,7 @@ def test_covering_check_reads_image_facets_up_to_the_cap(monkeypatch):
     # off its facets, with no LP.
     drop = [[1 if j == i else 0 for j in range(6)] for i in range(5)]
     T = linear_map(lp_space("inf", dim=6), lp_space("inf", dim=5), drop)
-    solves = _count_lp_solves(monkeypatch)
+    solves = count_lp_solves(monkeypatch)
     assert is_quotient_map(T) == linmap.MapVerdict(True)
     assert solves == []
     # The one-off image ball stays out of the shared vertex cache: only the
