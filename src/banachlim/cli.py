@@ -50,10 +50,7 @@ def _manifest(args):
         "command": args.command,
         "inputs": [args.input],
         "seed": args.seed,
-        "caps": {
-            "max_stage": args.max_stage,
-            "vertex_dim": os.environ.get("BANACH_LIMITS_CAP_DIM"),
-        },
+        "caps": {"max_stage": args.max_stage},
         "tol": args.tol,
         "out": args.out,
     }

@@ -84,7 +84,6 @@ class SearchConfig:
 class CertifyConfig:
     delta: object = Q(1, 20)
     refine_rounds: int = 3
-    dim_cap: int = 4
     # Abstract work units (grid cells; exact pair verifications weigh
     # _VERIFY_COST each).  Near-boundary instances can otherwise cascade
     # into unbounded refinement; exhausting the budget yields "undecided".
@@ -94,11 +93,13 @@ class CertifyConfig:
         if isinstance(self.delta, bool) or not Q(self.delta) > 0:
             raise ValueError("certify delta must be > 0")
         object.__setattr__(self, "delta", Q(self.delta))
-        _require_ints(self, "certify", (("refine_rounds", 0), ("dim_cap", 1),
-                                        ("budget", 0)))
+        _require_ints(self, "certify", (("refine_rounds", 0), ("budget", 0)))
 
 
 _VERIFY_COST = 1000
+# Largest parameter dimension the certify sweep takes on.  It is below the
+# vertex-enumeration cap, so _cube_constants always reads vertex lists.
+_CERTIFY_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -159,32 +160,29 @@ def verify_pair(q: DeterminingQuery, a, a_prime):
     a = gen.param_vector(a)
     ap = gen.param_vector(a_prime)
     top = q.system.stage(M)
-    vs, brs = [], []
-    for x in (a, ap):
-        v = linalg.mat_vec(gen.matrix(M), x)
-        vs.append(v)
-        brs.append(_norm_bracket(top, v))
+    vs = [linalg.mat_vec(gen.matrix(M), x) for x in (a, ap)]
+    brs = [_norm_bracket(top, v) for v in vs]
     if brs[0][1] == 0 or brs[1][1] == 0:
         return None
     tail_slacks = []
     for i in range(1, N + 1):
         rho_i = q.rho.values[i - 1]
-        row = []
-        for x, (_, nhi) in zip((a, ap), brs):
-            pi = _norm_bracket(q.system.stage(i),
-                               linalg.mat_vec(gen.matrix(i), x))
-            slack = pi[0] - (ONE - rho_i) * nhi
+        row, ims = [], []       # after the loop, ims are the stage-N images
+        for x, v, (_, nhi) in zip((a, ap), vs, brs):
+            ims.append(v if i == M else linalg.mat_vec(gen.matrix(i), x))
+            slack = _norm_bracket(q.system.stage(i), ims[-1])[0] \
+                - (ONE - rho_i) * nhi
             if slack <= 0:
                 return None
             row.append(slack)
         tail_slacks.append(tuple(row))
     mx = (max(brs[0][0], brs[1][0]), max(brs[0][1], brs[1][1]))
-    diff = linalg.vec_sub(a, ap)
-    d_n = _norm_bracket(q.system.stage(N), linalg.mat_vec(gen.matrix(N), diff))
+    # The difference images, by linearity of each stage map.
+    d_n = _norm_bracket(q.system.stage(N), linalg.vec_sub(*ims))
     prox = mx[0] / N - d_n[1]
     if prox <= 0:
         return None
-    d_m = _norm_bracket(top, linalg.mat_vec(gen.matrix(M), diff))
+    d_m = _norm_bracket(top, linalg.vec_sub(*vs))
     if d_m[0] < q.eps * mx[1]:
         return None
     return Counterexample(tuple(a), tuple(ap), tuple(vs[0]), tuple(vs[1]),
@@ -430,7 +428,7 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
     call, and filters them by float tail slack; ``pair_terms`` evaluates
     the float pair terms of an (a, u, t) grid as G a - t (G u)."""
     d = q.gen.param_dim
-    if d > q.certify.dim_cap:
+    if d > _CERTIFY_DIM:
         raise ValueError(f"parameter dimension {d} above certification cap")
     nu = parameter_space(q.gen, q.eval_stage)
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from . import linalg
+from . import linalg, space
 from .scalar import (Q, ZERO, ONE, format_scalar, from_float, parse_scalar,
                      sqrt_bracket, to_float)
 from .space import (LpNorm, NormSpecError, NormedSpace, _canonical_sign,
-                    _facet_dim, ball_extreme_points, ball_form, dual_space,
+                    ball_extreme_points, ball_form, dual_space,
                     extreme_point_estimate, hull_gauge, lp_space, min_norm_lp,
                     norm_eval, norm_eval_sq)
 
@@ -123,8 +123,8 @@ class OpNormResult:
     value_sq: object = None    # exact square when the value is an l2 norm
 
 
-def _is_l2(space: NormedSpace) -> bool:
-    return isinstance(space.spec, LpNorm) and space.spec.p == "2"
+def _is_l2(X: NormedSpace) -> bool:
+    return isinstance(X.spec, LpNorm) and X.spec.p == "2"
 
 
 def adjoint(T: LinearMap) -> LinearMap:
@@ -241,7 +241,7 @@ def _with_source_witness(T: LinearMap, res, phi) -> OpNormResult:
     form = ball_form(T.source.spec)
     if not res.value_sq:
         x = None
-    elif form and (form[0] == "gens" or T.source.dim <= _facet_dim()):
+    elif form and (form[0] == "gens" or T.source.dim <= space._FACET_DIM):
         x = max(ball_extreme_points(T.source),
                 key=lambda v: linalg.dot(phi, v))
     else:

@@ -3,17 +3,17 @@
 Three norm representations: weighted lp for p in {1, 2, inf}, H-polytope
 (unit ball cut out by functionals, norm = max |phi_i(x)|) and V-polytope
 (unit ball conv(+-v_j), norm = gauge).  A ball given by rows is enumerated
-once per row list and cached.  Up to dimension _FACET_DIM that enumeration
-decides which rows (for generators, on the polar) a polytope space keeps,
-and a V-polytope norm is the largest psi.x over the cached facet normals
-psi (the vertices of its polar); above it, each is one exact LP per
-candidate or evaluation.  hull_gauge reads a one-off ball, evaluated at a
-batch of points, off its facets up to the vertex-enumeration cap.
-ball_extreme_points lists a ball's vertices (a row ball's from the cached
-enumeration, up to that cap), so extremes of a linear or convex function
-over a ball are maxima over a finite list, with no LP.  Every exact LP
-that minimizes a polytopal norm under linear equations is built by
-min_norm_lp.
+once per row list and cached.  Two fixed limits govern it.  Up to
+dimension _FACET_DIM (4) that enumeration decides which rows (for
+generators, on the polar) a polytope space keeps, and a V-polytope norm is
+the largest psi.x over the cached facet normals psi (the vertices of its
+polar); above it, each is one exact LP per candidate or evaluation.  Up to
+_VERTEX_CAP (8) hull_gauge reads a one-off ball, evaluated at a batch of
+points, off its facets, and ball_extreme_points lists a row ball's
+vertices from the cached enumeration; above it they take LPs and raise,
+respectively.  So extremes of a linear or convex function over a ball are
+maxima over a finite list, with no LP.  Every exact LP that minimizes a
+polytopal norm under linear equations is built by min_norm_lp.
 
 All polytope geometry is exact rational; the only approximate quantity is
 the l2 norm value itself (its square is exact).
@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from dataclasses import dataclass
 
 from . import linalg
 from .scalar import Q, ZERO, ONE, parse_scalar, format_scalar, sqrt_approx
 from .simplex import LinearProgram, OPTIMAL
 
-DEFAULT_DIM_CAP = 8
-# The one switch between enumeration and LPs: up to this dimension a
+# Where spaces switch from enumeration to LPs: up to this dimension a
 # polytope space's irredundant rows or generators and its V-polytope norm
 # come from one cached vertex enumeration, above it from LPs.  Measured on
 # random V-polytopes with d+2 to d+6 generators, ms per build:
@@ -41,16 +39,9 @@ DEFAULT_DIM_CAP = 8
 # Per norm evaluation the enumeration pays for itself within 2-8 of them up
 # to d = 4, after 10-25 at d = 5, and after 50-110 or never at d = 6.
 _FACET_DIM = 4
-
-
-def vertex_enum_dim_cap() -> int:
-    env = os.environ.get("BANACH_LIMITS_CAP_DIM")
-    return int(env) if env else DEFAULT_DIM_CAP
-
-
-def _facet_dim() -> int:
-    """Largest dimension read off cached vertex enumerations, not LPs."""
-    return min(_FACET_DIM, vertex_enum_dim_cap())
+# Largest dimension whose rows-form ball is ever enumerated: the extreme
+# points a ball lists, and the facets of a one-off hull_gauge ball.
+_VERTEX_CAP = 8
 
 
 class NormSpecError(ValueError):
@@ -218,12 +209,12 @@ def min_norm_lp(spec, E, e):
 def _irredundant(vectors, dim):
     """Canonical irredundant subset: the rows r with r.x = 1 a facet of
     {x : |r.x| <= 1 for every row r}, i.e. the vertices of conv(+-G) for
-    generators G, read off its cached enumeration up to _facet_dim().
+    generators G, read off its cached enumeration up to _FACET_DIM.
     Above it, one LP each drops v_i in conv(+- others) while the others
     span (by LP duality, the same test for rows)."""
     kept = sorted({_canonical_sign(linalg.vec(v)) for v in vectors},
                   key=_sort_key)
-    if dim <= _facet_dim():
+    if dim <= _FACET_DIM:
         facets = _cached_ball(tuple(kept), dim)[1]
         return tuple(v for v, facet in zip(kept, facets) if facet)
     eye = linalg.identity(dim)
@@ -286,7 +277,7 @@ def norm_eval(space: NormedSpace, x):
     if isinstance(spec, HPolytope):
         return max(abs(linalg.dot(f, x)) for f in spec.functionals)
     if isinstance(spec, VPolytope):
-        return _gauge(spec, space.dim, _facet_dim(), _rows_vertices)(x)
+        return _gauge(spec, space.dim, _FACET_DIM, _rows_vertices)(x)
     raise NormSpecError(f"unknown spec {type(spec).__name__}")
 
 
@@ -423,7 +414,7 @@ def hull_gauge(generators, dim):
     (they pay for themselves over a batch), one LP per point above it.  The
     facets are not cached, so a one-off ball evicts no reused one.  The
     generators must span."""
-    return _gauge(VPolytope(tuple(generators)), dim, vertex_enum_dim_cap(),
+    return _gauge(VPolytope(tuple(generators)), dim, _VERTEX_CAP,
                   lambda rows, d: _symmetric_ball(rows, d)[0])
 
 
@@ -449,11 +440,9 @@ def ball_extreme_points(space: NormedSpace):
                             "not enumerable")
     if form[0] == "gens":
         return [v for u in form[1] for v in (u, tuple(-x for x in u))]
-    cap = vertex_enum_dim_cap()
-    if dim > cap:
+    if dim > _VERTEX_CAP:
         raise NormSpecError(
-            f"dim {dim} exceeds vertex-enumeration cap {cap} "
-            "(set BANACH_LIMITS_CAP_DIM to raise)")
+            f"dim {dim} exceeds vertex-enumeration cap {_VERTEX_CAP}")
     if isinstance(spec, LpNorm):
         # Closed-form linf cube, in the sign order the reports' witnesses
         # follow.

@@ -10,9 +10,12 @@ import math
 import random
 
 from banachlim import linalg
+from banachlim import space as space_mod
 from banachlim.scalar import Q, ZERO, ONE, to_float
 from banachlim.simplex import LinearProgram, OPTIMAL
 from banachlim.space import norm_eval, norm_eval_sq
+
+_FACET_DIM = space_mod._FACET_DIM         # the default, before any patch
 
 
 def count_lp_solves(monkeypatch):
@@ -26,6 +29,14 @@ def count_lp_solves(monkeypatch):
 
     monkeypatch.setattr(LinearProgram, "solve", counted)
     return solves
+
+
+def lower_enumeration_caps(monkeypatch, cap):
+    """Enumerate no rows-form ball above dimension cap: space's
+    vertex-enumeration cap becomes cap and its facet dimension at most cap,
+    so larger balls take the LP routes (or refuse to list vertices)."""
+    monkeypatch.setattr(space_mod, "_VERTEX_CAP", cap)
+    monkeypatch.setattr(space_mod, "_FACET_DIM", min(_FACET_DIM, cap))
 
 
 def hull_contains(vertices, x):

@@ -37,6 +37,7 @@ def test_validate_builtin_pass(tmp_path, capsys):
     assert report["passed"]
     assert len(report["verdicts"]) == 7
     assert report["manifest"]["command"] == "validate"
+    assert report["manifest"]["caps"] == {"max_stage": None}
 
 
 def test_validate_random_quotient_flags(tmp_path, capsys):
@@ -351,13 +352,14 @@ _UNWRITABLE = ["--out", "{tmp}/missing/r.json"]
     ("determine", json.dumps(_certify_job(budget=-5)), []),
     ("determine", json.dumps(_certify_job(dim_cap=0)), []),
     ("determine", json.dumps(_certify_job(dim_cap="x")), []),
+    ("determine", json.dumps(_certify_job(dim_cap=4)), []),
 ], ids=["unreadable", "malformed-json", "zero-denominator", "top-level-list",
         "list-as-space", "unwritable-report", "unwritable-dual",
         "unwritable-csv", "search-without-start", "search-negative-starts",
         "search-fractional-iters", "search-zero-max-den",
         "certify-negative-delta", "certify-negative-rounds",
         "certify-negative-budget", "certify-zero-dim-cap",
-        "certify-string-dim-cap"])
+        "certify-string-dim-cap", "certify-dim-cap-field"])
 def test_bad_inputs_exit_three(tmp_path, capsys, command, text, extra):
     path = tmp_path / "job.json"
     if text is not None:

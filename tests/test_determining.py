@@ -7,8 +7,7 @@ import pytest
 
 from banachlim import determining, linalg
 from banachlim.scalar import Q, ZERO, ONE
-from banachlim.space import (NormSpecError, hpoly_space, lp_space, norm_eval,
-                             vpoly_space)
+from banachlim.space import hpoly_space, lp_space, norm_eval, vpoly_space
 from banachlim.linmap import linear_map
 from banachlim.systems import (InverseSystem, SubspaceGenerator,
                                compatible_from_tail, generator_from_tail,
@@ -23,8 +22,9 @@ from banachlim.determining import (CertifyConfig, DeterminingQuery,
                                    parameter_space, prefix_obstruction_query,
                                    rescaled_image_presentation, verify_pair)
 
-from oracles import (count_lp_solves, min_norm_on_cube_sphere,
-                     random_spanning_vectors, sequential_search_reference)
+from oracles import (count_lp_solves, lower_enumeration_caps,
+                     min_norm_on_cube_sphere, random_spanning_vectors,
+                     sequential_search_reference)
 
 HALF = Q(1, 2)
 
@@ -82,13 +82,23 @@ def test_search_config_validation(field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("delta", 0), ("delta", Q(-1)), ("delta", True), ("delta", "x"),
-    ("refine_rounds", -3), ("refine_rounds", 1.0), ("dim_cap", 0),
-    ("dim_cap", "x"), ("budget", -5), ("budget", False)])
+    ("refine_rounds", -3), ("refine_rounds", 1.0), ("budget", -5),
+    ("budget", False)])
 def test_certify_config_validation(field, value):
-    assert CertifyConfig(delta="1/8", refine_rounds=0, dim_cap=1,
-                         budget=0).delta == Q(1, 8)
+    assert CertifyConfig(delta="1/8", refine_rounds=0, budget=0).delta == \
+        Q(1, 8)
+    with pytest.raises(TypeError):
+        CertifyConfig(dim_cap=4)
     with pytest.raises(ValueError):
         CertifyConfig(**{field: value})
+
+
+def test_certify_refuses_more_than_four_parameters():
+    sys_ = l1_drop_system(5)
+    q = DeterminingQuery(sys_, generator_from_tail(sys_, linalg.identity(5)),
+                         RhoSchedule((HALF,)), HALF, 5)
+    with pytest.raises(ValueError, match="parameter dimension 5 above"):
+        eps_determining_certify(q)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +598,8 @@ def test_cube_constants_match_the_face_lp_and_cube_vertex_oracles():
 def test_certify_and_gfda_solve_no_lp(monkeypatch):
     # Criterion-8-style queries (drop systems, random injective d = 2
     # tails) and one gfda_check read every constant off cached vertex
-    # lists.  Above the vertex-enumeration cap the sweep refuses, naming
-    # the cap, rather than fall back to LPs.
+    # lists.  The face-LP oracle solves LPs, and so does building the
+    # parameter ball with enumeration capped at 1, to the same ball.
     solves = count_lp_solves(monkeypatch)
     rng = random.Random(808)
     kinds = set()
@@ -612,9 +622,10 @@ def test_certify_and_gfda_solve_no_lp(monkeypatch):
     nu = parameter_space(q.gen, q.eval_stage)
     assert min_norm_on_cube_sphere(nu) == determining._cube_constants(nu)[1]
     assert len(solves) > 0
-    monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "1")
-    with pytest.raises(NormSpecError, match="vertex-enumeration cap 1"):
-        eps_determining_certify(prefix_obstruction_query(2))
+    solves.clear()
+    lower_enumeration_caps(monkeypatch, 1)
+    assert parameter_space(q.gen, q.eval_stage) == nu
+    assert len(solves) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+module-level private function is used somewhere in the package, and no
+package module reads the environment.
 
 Only the standard library's ast is used.  The package __init__ is exempt
 from the import check: its imports are the public re-exports.
@@ -75,3 +76,32 @@ def test_checker_flags_an_unreferenced_private_function():
 def test_every_private_function_is_used():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_defs(sources) == []
+
+
+_ENVIRONMENT = ("environ", "getenv")
+
+
+def environment_reads(source):
+    """Lines of source that read os.environ or os.getenv, as an attribute
+    of os or imported from it."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT \
+                and isinstance(node.value, ast.Name) and node.value.id == "os":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and \
+                any(alias.name in _ENVIRONMENT for alias in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_an_environment_read():
+    source = ("import os\nos.environ.get('A')\nfrom os import getenv\n"
+              "os.getenv('B')\nos.path.join('c', 'd')\nenviron = {}\n")
+    assert environment_reads(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_reads_no_environment(path):
+    assert environment_reads(path.read_text()) == []

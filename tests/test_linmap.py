@@ -14,8 +14,8 @@ from banachlim.space import (NormedSpace, VPolytope, ball_extreme_points,
                              hpoly_space, lp_space, norm_eval, norm_eval_sq,
                              vpoly_space)
 
-from oracles import (count_lp_solves, hull_contains, random_rational_vector,
-                     random_spanning_vectors)
+from oracles import (count_lp_solves, hull_contains, lower_enumeration_caps,
+                     random_rational_vector, random_spanning_vectors)
 
 
 def _rand_polytope_space(rng, dim):
@@ -297,7 +297,7 @@ def test_cover_and_lp_routes_agree(monkeypatch):
     solves = count_lp_solves(monkeypatch)
     facet_route = verdicts()
     assert len(solves) == 0
-    monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "1")
+    lower_enumeration_caps(monkeypatch, 1)
     assert verdicts() == facet_route
     assert len(solves) > 0
     assert [q.verdict for q, _ in facet_route] == [True, False] * 6
@@ -344,7 +344,7 @@ def test_a_maps_round_solves_no_lp(monkeypatch):
     enumerated = _maps_round(random.Random(113))
     assert len(solves) == 0
     assert enumerated[-2:] == [(linmap.MapVerdict(True),) * 2] * 2
-    monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "1")
+    lower_enumeration_caps(monkeypatch, 1)
     assert _maps_round(random.Random(113)) == enumerated
     assert len(solves) > 0
 
@@ -396,22 +396,25 @@ def test_listed_non_extreme_target_point_is_covered(monkeypatch):
     L = LinearMap(lp_space(2, 1), NormedSpace(1, VPolytope(((ONE,),
                                                             (Q(1, 2),)))),
                   ((ONE,),))
+    # A point outside the image of the ball still fails, with its reason.
+    U = LinearMap(T.source, NormedSpace(2, VPolytope(((ONE, ZERO), (ZERO, ONE),
+                                                      (ONE, ONE)))), T.matrix)
+
+    def check_outside_point():
+        qv = is_quotient_map(U)
+        assert not qv.verdict and qv.witness == (ONE, ONE)
+        assert qv.reason == "min preimage norm != target norm"
+
     solves = count_lp_solves(monkeypatch)
     assert is_quotient_map(T) == linmap.MapVerdict(True)
     assert len(solves) == 0
     assert is_quotient_map(L) == linmap.MapVerdict(True)
-    monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "1")
+    check_outside_point()
+    lower_enumeration_caps(monkeypatch, 1)
     solves.clear()
     assert is_quotient_map(T).verdict
     assert len(solves) > 0
-    # A point outside the image of the ball still fails, with its reason.
-    U = LinearMap(T.source, NormedSpace(2, VPolytope(((ONE, ZERO), (ZERO, ONE),
-                                                      (ONE, ONE)))), T.matrix)
-    for cap in ("1", "8"):
-        monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", cap)
-        qv = is_quotient_map(U)
-        assert not qv.verdict and qv.witness == (ONE, ONE)
-        assert qv.reason == "min preimage norm != target norm"
+    check_outside_point()
 
 
 def _assert_witness_in_bracket(T, res):
@@ -449,7 +452,7 @@ def test_opnorm_witness_is_an_attaining_source_vector(monkeypatch):
             T = _rand_map(rng, src, tgt)
             _assert_witness_attains(T, operator_norm(T))
     # Above the cap an H-polytope source takes the dual route as well.
-    monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "2")
+    lower_enumeration_caps(monkeypatch, 2)
     with pytest.raises(linmap.NormSpecError):
         ball_extreme_points(hpoly)
     for tgt in targets[:2] + targets[3:]:

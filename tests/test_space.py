@@ -17,7 +17,8 @@ from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              validate_norm_spec, vpoly_space)
 
 from oracles import (gauge_by_ray_bisection, irredundant_reference,
-                     random_spanning_vectors, vertices_by_subset_enum)
+                     lower_enumeration_caps, random_spanning_vectors,
+                     vertices_by_subset_enum)
 
 
 def test_hpoly_linf_identity():
@@ -202,9 +203,12 @@ def test_norm_attainment_on_dual_vertices():
 
 
 def test_dim_cap(monkeypatch):
-    monkeypatch.setenv("BANACH_LIMITS_CAP_DIM", "2")
+    with pytest.raises(NormSpecError, match="vertex-enumeration cap 8"):
+        ball_extreme_points(lp_space("inf", dim=9))
     S = lp_space("inf", dim=3)
-    with pytest.raises(NormSpecError, match="cap"):
+    assert len(ball_extreme_points(S)) == 8
+    lower_enumeration_caps(monkeypatch, 2)
+    with pytest.raises(NormSpecError, match="vertex-enumeration cap 2"):
         ball_extreme_points(S)
 
 
