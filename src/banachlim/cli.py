@@ -13,6 +13,8 @@ undecided; malformed inputs and an unwritable --out exit with 3.
 """
 
 import argparse
+import copy
+import dataclasses
 import json
 import os
 import sys
@@ -22,10 +24,9 @@ from .scalar import format_scalar, parse_scalar, to_float
 from .space import space_from_json
 from .linmap import (is_isometric_embedding, is_quotient_map, linear_map,
                      operator_norm)
-from .systems import (InverseSystem, compatible_from_tail, dualize,
-                      generator_from_tail, stage_norms,
-                      system_from_json, system_to_json, validate_standard,
-                      SubspaceGenerator)
+from .systems import (compatible_from_tail, dualize, generator_from_tail,
+                      stage_norms, system_from_json, system_to_json,
+                      validate_standard, SubspaceGenerator)
 from .determining import (CertifyConfig, DeterminingQuery, RhoSchedule,
                           SearchConfig, anp_diagnostic, dp_diagnostic,
                           eps_determining_certify, eps_determining_search,
@@ -98,10 +99,9 @@ def _truncate(system, max_stage):
         return system
     if max_stage < 1:
         raise ValueError("--max-stage must be at least 1")
-    copy = type(system)(system.stage, system.bond, max_stage, system.label)
-    if isinstance(system, InverseSystem):
-        copy.is_quotient_system = system.is_quotient_system
-    return copy
+    truncated = copy.copy(system)
+    truncated.max_stage = max_stage
+    return truncated
 
 
 def _load_system(obj, args):
@@ -238,14 +238,23 @@ def cmd_quotient_check(args, job):
 
 def _configs(job, args):
     """The job's SearchConfig (seed overridden by --seed) and CertifyConfig."""
-    search = SearchConfig(**job.get("search", {}))
+    kw = {}
+    for key, cls in (("search", SearchConfig), ("certify", CertifyConfig)):
+        obj = job.get(key, {})
+        if not isinstance(obj, dict):
+            raise ValueError(f'"{key}" must be a JSON object')
+        allowed = sorted(f.name for f in dataclasses.fields(cls))
+        unknown = sorted(set(obj) - set(allowed))
+        if unknown:
+            raise ValueError(f'unknown key in "{key}": {", ".join(unknown)} '
+                             f'(allowed: {", ".join(allowed)})')
+        kw[key] = dict(obj)
+    search = SearchConfig(**kw["search"])
     if args.seed is not None:
-        search = SearchConfig(search.starts, search.iters, args.seed,
-                              search.max_den)
-    certify_kw = dict(job.get("certify", {}))
-    if "delta" in certify_kw:
-        certify_kw["delta"] = parse_scalar(certify_kw["delta"])
-    return search, CertifyConfig(**certify_kw)
+        search = dataclasses.replace(search, seed=args.seed)
+    if "delta" in kw["certify"]:
+        kw["certify"]["delta"] = parse_scalar(kw["certify"]["delta"])
+    return search, CertifyConfig(**kw["certify"])
 
 
 def _query_on(system, gen, job, args):

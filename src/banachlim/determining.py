@@ -30,10 +30,10 @@ import numpy as np
 from . import linalg
 from .linmap import is_quotient_map, linear_map
 from .scalar import ONE, Q, ZERO, rationalize, sqrt_bracket, to_float
-from .space import (NormedSpace, ball_extreme_points, dual_space, hpoly_space,
-                    norm_eval, norm_eval_sq, vpoly_space)
-from .systems import (InverseSystem, SubspaceGenerator, invlim_convergence,
-                      linf_drop_system, project)
+from .space import (NormedSpace, ball_extreme_points, ball_form, dual_space,
+                    hpoly_space, norm_eval, norm_eval_sq, vpoly_space)
+from .systems import (InverseSystem, SubspaceGenerator, generator_from_tail,
+                      invlim_convergence, linf_drop_system, project)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +343,9 @@ def parameter_space(gen: SubspaceGenerator, stage: int) -> NormedSpace:
 def _pullback(space: NormedSpace, G) -> NormedSpace:
     """The norm a -> ||G a|| of space, for G of full column rank."""
     spec = space.spec
-    if spec.kind == "hpoly":
-        return hpoly_space(linalg.mat_mul(spec.functionals, G))
-    if spec.kind == "lp" and spec.p == "inf":
-        rows = [linalg.vec_scale(w, row)
-                for w, row in zip(spec.weights, G)]
-        return hpoly_space(rows)
+    form = ball_form(spec)
+    if form is not None and form[0] == "rows":     # hpoly, linf
+        return hpoly_space(linalg.mat_mul(form[1], G))
     if spec.kind == "lp" and spec.p == "1":
         nz = [linalg.vec_scale(w, row)
               for w, row in zip(spec.weights, G) if any(c != 0 for c in row)]
@@ -588,13 +585,8 @@ def prefix_obstruction_query(N, eps=Q(1, 2), rho=None, **kw) -> DeterminingQuery
     2N — a violating pair for any eps <= 1."""
     M = 2 * N
     system = linf_drop_system(M)
-    g_top = [[ONE if r < N else ZERO, ONE] for r in range(M)]
-    mats = []
-    for i in range(1, M + 1):
-        mats.append([[ONE if r < min(i, N) else ZERO,
-                      ONE if r < min(i, M) else ZERO] for r in range(i)])
-    gen = SubspaceGenerator(system, mats)
-    assert gen.matrix(M) == linalg.mat(g_top)
+    gen = generator_from_tail(
+        system, [[ONE if r < N else ZERO, ONE] for r in range(M)])
     if rho is None:
         rho = RhoSchedule((Q(1, 2),) * N)
     return DeterminingQuery(system, gen, rho, eps, M, **kw)

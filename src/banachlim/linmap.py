@@ -139,20 +139,16 @@ def adjoint(T: LinearMap) -> LinearMap:
 
 
 def _opnorm_over_vertices(T: LinearMap, vertices):
-    best = None
-    witness = None
-    best_sq = None
-    if _is_l2(T.target):
-        for v in vertices:
-            s = norm_eval_sq(T.target, T(v))
-            if best_sq is None or s > best_sq:
-                best_sq, witness = s, v
-        lo, hi = sqrt_bracket(best_sq)
-        return OpNormResult((lo + hi) / 2, lo, hi, EXACT, witness, best_sq)
+    """max ||T v|| over the vertices (exact squares for an l2 target)."""
+    size = norm_eval_sq if _is_l2(T.target) else norm_eval
+    best = witness = None
     for v in vertices:
-        n = norm_eval(T.target, T(v))
-        if best is None or n > best:
-            best, witness = n, v
+        s = size(T.target, T(v))
+        if best is None or s > best:
+            best, witness = s, v
+    if size is norm_eval_sq:
+        lo, hi = sqrt_bracket(best)
+        return OpNormResult((lo + hi) / 2, lo, hi, EXACT, witness, best)
     return OpNormResult(best, best, best, EXACT, witness, best * best)
 
 

@@ -430,25 +430,19 @@ def extreme_point_estimate(space: NormedSpace):
 
 
 def ball_extreme_points(space: NormedSpace):
-    """Extreme points of the unit ball (polytopal specs and p in {1, inf});
-    an H-polytope's are enumerated once per spec and cached."""
-    spec = space.spec
-    dim = space.dim
-    form = ball_form(spec)
+    """Extreme points of a polytopal unit ball: +-each generator, or the
+    vertices of a rows-form ball (H-polytope, linf cube) from _cached_ball,
+    keyed by the rows, so a space shares them with its dual's facets."""
+    form = ball_form(space.spec)
     if form is None:
         raise NormSpecError("l2 ball is not a polytope; extreme points "
                             "not enumerable")
     if form[0] == "gens":
         return [v for u in form[1] for v in (u, tuple(-x for x in u))]
-    if dim > _VERTEX_CAP:
+    if space.dim > _VERTEX_CAP:
         raise NormSpecError(
-            f"dim {dim} exceeds vertex-enumeration cap {_VERTEX_CAP}")
-    if isinstance(spec, LpNorm):
-        # Closed-form linf cube, in the sign order the reports' witnesses
-        # follow.
-        return [tuple(s / w for s, w in zip(signs, spec.weights))
-                for signs in itertools.product((ONE, -ONE), repeat=dim)]
-    return list(_rows_vertices(spec.functionals, dim))
+            f"dim {space.dim} exceeds vertex-enumeration cap {_VERTEX_CAP}")
+    return list(_rows_vertices(form[1], space.dim))
 
 
 # ---------------------------------------------------------------------------

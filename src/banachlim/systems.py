@@ -98,15 +98,10 @@ def dualize(system):
     Direct systems map to inverse systems and conversely; isometrically
     injective direct systems dualize to quotient inverse systems.
     """
-    if isinstance(system, DirectSystem):
-        return InverseSystem(
-            lambda i: dual_space(system.stage(i)),
-            lambda i: adjoint(system.bond(i)),
-            system.max_stage, label=f"{system.label}*")
-    return DirectSystem(
-        lambda i: dual_space(system.stage(i)),
-        lambda i: adjoint(system.bond(i)),
-        system.max_stage, label=f"{system.label}*")
+    cls = InverseSystem if isinstance(system, DirectSystem) else DirectSystem
+    return cls(lambda i: dual_space(system.stage(i)),
+               lambda i: adjoint(system.bond(i)),
+               system.max_stage, label=f"{system.label}*")
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +148,6 @@ def project(cv: CompatibleVector, j: int):
     if not 1 <= j <= cv.top_stage:
         raise StageError(f"stage {j} outside 1..{cv.top_stage}")
     return cv.stages[j - 1]
-
-
-def cv_sub(a: CompatibleVector, b: CompatibleVector) -> CompatibleVector:
-    return CompatibleVector(a.system, tuple(
-        linalg.vec_sub(x, y) for x, y in zip(a.stages, b.stages)))
-
-
-def cv_scale(t, a: CompatibleVector) -> CompatibleVector:
-    lim = None if a.limit_norm is None else abs(Q(t)) * a.limit_norm
-    return CompatibleVector(a.system, tuple(
-        linalg.vec_scale(t, x) for x in a.stages), lim)
 
 
 @dataclass(frozen=True)
@@ -510,7 +494,9 @@ def system_to_json(system):
 def system_from_json(obj):
     if "builtin" in obj:
         name = obj["builtin"]
-        stages = int(obj["stages"])
+        stages = obj["stages"]
+        if type(stages) is not int or stages < 1:     # refuses bool too
+            raise ValueError("system stages must be an int >= 1")
         if name == "random_quotient":
             return random_quotient_system(int(obj.get("seed", 0)), stages)
         if name not in BUILTIN_SYSTEMS:
@@ -520,6 +506,10 @@ def system_from_json(obj):
     mats = [tuple(tuple(parse_scalar(v) for v in row) for row in m)
             for m in obj["bonds"]]
     n = len(spaces)
+    if n < 1:
+        raise ValueError("system spaces must list at least one space")
+    if len(mats) != n - 1:
+        raise ValueError("system bonds must list len(spaces) - 1 matrices")
     if obj.get("kind", "inverse") == "direct":
         bonds = [linear_map(spaces[i], spaces[i + 1], mats[i])
                  for i in range(n - 1)]

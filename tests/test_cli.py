@@ -307,6 +307,127 @@ def test_curves_custom_constant(tmp_path, capsys):
     assert set(report["classifications"]) == {"decaying"}
 
 
+_WLINF = {"dim": 2, "label": "w",
+          "spec": {"kind": "lp", "p": "inf", "weights": ["2", "1/3"]}}
+_WL1 = {"dim": 2, "label": "s",
+        "spec": {"kind": "lp", "p": "1", "weights": ["1", "3/2"]}}
+_L2 = {"dim": 2, "label": "e",
+       "spec": {"kind": "lp", "p": "2", "weights": ["1", "1"]}}
+_LINE = {"dim": 1, "label": "t",
+         "spec": {"kind": "lp", "p": "inf", "weights": ["1"]}}
+_HPOLY = {"dim": 2, "label": "h",
+          "spec": {"kind": "hpoly",
+                   "functionals": [["1", "0"], ["0", "1"], ["1", "1"]]}}
+_SKEW = [["1", "-2"], ["1", "1"]]
+
+
+# One job through each of: the vertex list of a weighted linf cube, the
+# operator norm's vertex loop (into l2 and into polytopes), the rows-form
+# pullback of linf stages, the canonical prefix generator, the dual system
+# and the --max-stage copy.  Exit code and report (manifest aside), as
+# compact sorted JSON.
+@pytest.mark.parametrize("command, job, extra, code, text", [
+    ("opnorm", {"source": _WLINF, "target": _L2,
+                "matrix": [["1", "2"], ["-1", "1"]]}, [], 0,
+     '{"bracket":[{"exact":"1960246382968687/281474976710656",'
+     '"float":6.96419413859206},'
+     '{"exact":"13651536370466816/1960246382968687",'
+     '"float":6.96419413859206}],"certificate_kind":"exact",'
+     '"source":"w","target":"e",'
+     '"value":{"exact":"7685131763883640672306104095265/11035206099865'
+     '17671223014457344","float":6.96419413859206},"witness":["1/2",'
+     '"3"]}'),
+    ("quotient-check", {"source": _WLINF, "target": _LINE,
+                        "matrix": [["1", "1"]]}, [], 1,
+     '{"isometric_embedding":{"certificate_kind":"exact",'
+     '"reason":"not injective","verdict":false,"witness":null},'
+     '"quotient":{"certificate_kind":"exact",'
+     '"reason":"operator norm exceeds 1","verdict":false,'
+     '"witness":["1/2","3"]},"source":"w","target":"t"}'),
+    ("opnorm", {"source": _HPOLY, "target": _WL1, "matrix": _SKEW}, [], 0,
+     '{"bracket":[{"exact":"7/2","float":3.5},{"exact":"7/2",'
+     '"float":3.5}],"certificate_kind":"exact","source":"h",'
+     '"target":"s","value":{"exact":"7/2","float":3.5},"witness":["0",'
+     '"-1"]}'),
+    ("opnorm", {"source": _WL1, "target": _HPOLY, "matrix": _SKEW}, [], 0,
+     '{"bracket":[{"exact":"2","float":2.0},{"exact":"2",'
+     '"float":2.0}],"certificate_kind":"exact","source":"s",'
+     '"target":"h","value":{"exact":"2","float":2.0},"witness":["1",'
+     '"0"]}'),
+    ("determine", {"canonical": "prefix_obstruction", "n": 2,
+                   "certify": {"delta": "1/10"}}, [], 1,
+     '{"certify":{"counterexample":{"a":["2","-1"],"a_prime":["1",'
+     '"0"],"proximity_slack":{"exact":"1/2","float":0.5},'
+     '"tail_slacks":[[{"exact":"1/2","float":0.5},{"exact":"1/2",'
+     '"float":0.5}],[{"exact":"1/2","float":0.5},{"exact":"1/2",'
+     '"float":0.5}]],"v":["1","1","-1","-1"],"v_prime":["1","1","0",'
+     '"0"],"violation":{"exact":"1","float":1.0}},"delta":"1/10",'
+     '"kind":"counterexample","points_checked":38808,"refinements":0,'
+     '"statement":"violating pair found and exactly re-verified (stage'
+     '-4 operative norm)"},"eps":"1/2","eval_stage":4,'
+     '"mode":"certify","rho":["1/2","1/2"]}'),
+    ("gfda-check", {"system": {"builtin": "linf_drop", "stages": 3},
+                    "generator": _FLIP_GEN, "stages": 3,
+                    "query": {"rho": ["1/2", "1/2"], "eps": "1/4",
+                              "certify": {"delta": "1/10"}}}, [], 1,
+     '{"certify":{"counterexample":{"a":["10/13","3/13"],'
+     '"a_prime":["1/2","0"],"proximity_slack":{"exact":"3/13",'
+     '"float":0.23076923076923078},"tail_slacks":[[{"exact":"7/26",'
+     '"float":0.2692307692307692},{"exact":"1/4","float":0.25}],'
+     '[{"exact":"7/26","float":0.2692307692307692},{"exact":"1/4",'
+     '"float":0.25}]],"v":["10/13","3/13","1"],"v_prime":["1/2","0",'
+     '"1/2"],"violation":{"exact":"1/2","float":0.5}},"delta":"1/10",'
+     '"kind":"counterexample","points_checked":38808,"refinements":0,'
+     '"statement":"violating pair found and exactly re-verified (stage'
+     '-3 operative norm)"},"passes":false,'
+     '"stage_verdicts":[{"certificate_kind":"exact","reason":"",'
+     '"verdict":true,"witness":null},{"certificate_kind":"exact",'
+     '"reason":"min preimage norm != target norm","verdict":false,'
+     '"witness":["1","1"]},{"certificate_kind":"exact","reason":"",'
+     '"verdict":true,"witness":null}],"system":"linf_drop"}'),
+    ("dualize", {"builtin": "linf_padding", "stages": 3}, [], 0,
+     '{"dual":{"bonds":[[["1","0"]],[["1","0","0"],["0","1","0"]]],'
+     '"is_quotient_system":false,"kind":"inverse","label":"linf_pad*",'
+     '"spaces":[{"dim":1,"label":"linfpad_1*","spec":{"kind":"lp",'
+     '"p":"1","weights":["1"]}},{"dim":2,"label":"linfpad_2*",'
+     '"spec":{"kind":"lp","p":"1","weights":["1","1"]}},{"dim":3,'
+     '"label":"linfpad_3*","spec":{"kind":"lp","p":"1","weights":["1",'
+     '"1","1"]}}],"stages":3}}'),
+    ("validate", {"builtin": "random_quotient", "stages": 4, "seed": 3},
+     ["--max-stage", "2"], 0,
+     '{"passed":true,"stages":2,"system":"random_quotient_3",'
+     '"verdicts":[{"lipschitz_ok":true,"quotient_ok":true,"stage":1,'
+     '"witness":null}]}'),
+], ids=["opnorm-wlinf-l2", "quotient-wlinf", "opnorm-hpoly-l1",
+        "opnorm-l1-hpoly", "determine-prefix", "gfda-linf",
+        "dualize-padding", "validate-max-stage"])
+def test_report_text_is_pinned(tmp_path, capsys, command, job, extra, code,
+                               text):
+    assert main([command, _write(tmp_path, "job.json", job)] + extra) == code
+    report = json.loads(capsys.readouterr().out)
+    del report["manifest"]
+    assert json.dumps(report, sort_keys=True, separators=(",", ":")) == text
+
+
+def test_max_stage_truncates_loaded_systems(tmp_path, capsys):
+    quotient = _write(tmp_path, "q.json",
+                      {"builtin": "random_quotient", "stages": 5, "seed": 3})
+    code, out = _run(capsys, "validate", quotient, "--max-stage", "3")
+    report = json.loads(out)
+    assert code == 0 and report["stages"] == 3
+    assert report["manifest"]["caps"] == {"max_stage": 3}
+    assert [v["quotient_ok"] for v in report["verdicts"]] == [True, True]
+    norms = _write(tmp_path, "n.json", {
+        "system": {"builtin": "l1_drop", "stages": 6},
+        "vectors": [["1", "1/2"]]})
+    code, out = _run(capsys, "norms", norms, "--max-stage", "2")
+    report = json.loads(out)
+    assert code == 0 and report["stages"] == 2
+    assert len(report["vectors"][0]["stage_norms"]) == 2
+    assert main(["validate", quotient, "--max-stage", "0"]) == EXIT_BAD_INPUT
+    assert "--max-stage" in capsys.readouterr().err
+
+
 def test_bad_job_exits_three(tmp_path, capsys):
     job = _write(tmp_path, "bad.json", {"nonsense": True})
     assert main(["determine", job]) == 3
@@ -333,6 +454,24 @@ _CURVE_JOB = json.dumps({
 _UNWRITABLE = ["--out", "{tmp}/missing/r.json"]
 
 
+_L1_LINE = {"dim": 1, "spec": {"kind": "lp", "p": "1", "weights": ["1"]}}
+# Malformed systems, each with the key its error must name.
+_BAD_SYSTEMS = {
+    "system-zero-stages": ({"builtin": "l1_drop", "stages": 0}, "stages"),
+    "system-negative-stages": ({"builtin": "l1_drop", "stages": -1},
+                               "stages"),
+    "system-bool-stages": ({"builtin": "l1_drop", "stages": True}, "stages"),
+    "system-fractional-stages": ({"builtin": "l1_drop", "stages": 2.7},
+                                 "stages"),
+    "random-quotient-zero-stages": (
+        {"builtin": "random_quotient", "stages": 0}, "stages"),
+    "system-without-spaces": ({"spaces": [], "bonds": []}, "spaces"),
+    "system-surplus-bonds": ({"spaces": [_L1_LINE, _L1_LINE],
+                              "bonds": [[["1"]], [["1"]], [["1", "1"]]]},
+                             "bonds"),
+}
+
+
 @pytest.mark.parametrize("command, text, extra", [
     ("validate", None, []),                             # unreadable file
     ("validate", '{"builtin": "l1_drop",', []),         # malformed JSON
@@ -353,13 +492,16 @@ _UNWRITABLE = ["--out", "{tmp}/missing/r.json"]
     ("determine", json.dumps(_certify_job(dim_cap=0)), []),
     ("determine", json.dumps(_certify_job(dim_cap="x")), []),
     ("determine", json.dumps(_certify_job(dim_cap=4)), []),
-], ids=["unreadable", "malformed-json", "zero-denominator", "top-level-list",
+    ("determine", json.dumps(dict(_certify_job(), search=[])), []),
+] + [("validate", json.dumps(job), []) for job, _ in _BAD_SYSTEMS.values()],
+    ids=["unreadable", "malformed-json", "zero-denominator", "top-level-list",
         "list-as-space", "unwritable-report", "unwritable-dual",
         "unwritable-csv", "search-without-start", "search-negative-starts",
         "search-fractional-iters", "search-zero-max-den",
         "certify-negative-delta", "certify-negative-rounds",
         "certify-negative-budget", "certify-zero-dim-cap",
-        "certify-string-dim-cap", "certify-dim-cap-field"])
+        "certify-string-dim-cap", "certify-dim-cap-field",
+        "search-not-an-object"] + list(_BAD_SYSTEMS))
 def test_bad_inputs_exit_three(tmp_path, capsys, command, text, extra):
     path = tmp_path / "job.json"
     if text is not None:
@@ -370,6 +512,24 @@ def test_bad_inputs_exit_three(tmp_path, capsys, command, text, extra):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("job, key", _BAD_SYSTEMS.values(),
+                         ids=list(_BAD_SYSTEMS))
+def test_bad_system_error_names_the_key(tmp_path, capsys, job, key):
+    assert main(["validate", _write(tmp_path, "sys.json", job)]) == 3
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("job, message", [
+    (_search_job(strats=1), 'unknown key in "search": strats '
+     '(allowed: iters, max_den, seed, starts)'),
+    (_certify_job(dim_cap=4), 'unknown key in "certify": dim_cap '
+     '(allowed: budget, delta, refine_rounds)'),
+], ids=["search", "certify"])
+def test_unknown_config_key_is_named(tmp_path, capsys, job, message):
+    assert main(["determine", _write(tmp_path, "job.json", job)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Cheap jobs to mutate; every value a mutation can put in keeps the work

@@ -151,6 +151,31 @@ def test_verify_pair_tie_counts_as_failure():
     assert verify_pair(q, (ONE,), (-ONE,)) is None
 
 
+def test_verify_pair_on_l2_stages():
+    # Prefix slice of the l2 drop system: v = (1, 1, 0, 0) and
+    # v' = (1, 1, 1, 1) agree through stage N = 2 and are sqrt(2) apart at
+    # stage 4, 1/sqrt(2) of the larger norm 2.  Every l2 norm is a bracket,
+    # so the reported violation is a lower bound of that ratio.
+    sys_ = l2_drop_system(4)
+    gen = generator_from_tail(sys_, [[ONE, ONE], [ONE, ONE], [ZERO, ONE],
+                                     [ZERO, ONE]])
+    rho = RhoSchedule((Q(3, 4), Q(3, 4)))
+    q = DeterminingQuery(sys_, gen, rho, HALF, 4)
+    cx = verify_pair(q, (ONE, ZERO), (ZERO, ONE))
+    assert cx is not None
+    assert cx.v == (ONE, ONE, ZERO, ZERO) and cx.v_prime == (ONE,) * 4
+    assert Q(7, 10) < cx.violation and 2 * cx.violation ** 2 <= 1
+    assert all(s > 0 for row in cx.tail_slacks for s in row)
+    assert cx.proximity_slack > 0
+    # Past the ratio the pair is no counterexample.
+    above = DeterminingQuery(sys_, gen, rho, Q(3, 4), 4)
+    assert verify_pair(above, (ONE, ZERO), (ZERO, ONE)) is None
+    # (1, -1) vanishes through stage N, so its stage-1 constraint fails.
+    assert verify_pair(q, (ONE, -ONE), (ZERO, ONE)) is None
+    # A zero stage-M image has no norm to compare against.
+    assert verify_pair(q, (ZERO, ZERO), (ZERO, ONE)) is None
+
+
 # ---------------------------------------------------------------------------
 # Parameter-space pullback
 
@@ -174,6 +199,26 @@ def test_parameter_space_pullback_l1_signs():
         direct = norm_eval(q.system.stage(5),
                            linalg.mat_vec(q.gen.matrix(5), a))
         assert norm_eval(dom, a) == direct
+
+
+def test_parameter_space_pullback_hpoly_stages():
+    # H-polytope stages, the last coordinate dropped between them: the
+    # pullback through G is the H-polytope of the rows r G.
+    stages = [hpoly_space([[1, 0], [0, 1], [1, -1]]),
+              hpoly_space([[1, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, 2]])]
+    bond = linear_map(stages[1], stages[0], [[1, 0, 0], [0, 1, 0]])
+    sys_ = InverseSystem(lambda i: stages[i - 1], lambda i: bond, 2)
+    gen = generator_from_tail(sys_, [[ONE, ZERO], [ZERO, ONE], [ONE, ONE]])
+    rng = random.Random(9)
+    for stage in (1, 2):
+        dom = parameter_space(gen, stage)
+        assert dom.spec.kind == "hpoly"
+        for _ in range(25):
+            a = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(2))
+            direct = norm_eval(sys_.stage(stage),
+                               linalg.mat_vec(gen.matrix(stage), a))
+            assert norm_eval(dom, a) == direct
 
 
 def test_parameter_space_requires_injectivity():

@@ -522,6 +522,26 @@ def test_l2_bracket_when_start_vector_misses_top_singular_vector():
     _assert_witness_in_bracket(W, res)
 
 
+def test_l2_bracket_bisects_after_a_poor_eigenvector(monkeypatch):
+    # eigh reports the bottom eigenvector of S = diag(4, 1) as the top one,
+    # so the Rayleigh quotient gives lo = 1, not 2, and the exact check of
+    # lo + gap/2 fails: the bracket comes from bisecting on that check.
+    import numpy as np
+    eigh = np.linalg.eigh
+
+    def poor_eigh(a):
+        w, v = eigh(a)
+        return w[::-1], v[:, ::-1]
+    monkeypatch.setattr(np.linalg, "eigh", poor_eigh)
+    T = linear_map(lp_space(2, 2), lp_space(2, 2), [[2, 0], [0, 1]])
+    S = linmap._weighted_gram(T)
+    res = linmap._opnorm_l2_l2(T)
+    assert linmap._gram_at_most(S, res.upper * res.upper)
+    assert not linmap._gram_at_most(S, res.lower * res.lower)
+    assert res.upper - res.lower < linmap._L2_GAP
+    assert res.lower < 2 <= res.upper
+
+
 def test_polytopal_source_into_l2_embedding():
     # l1^1 -> l2^2 by a column of l2 norm 1 is an isometric embedding; by a
     # shorter column it is 1-Lipschitz but not isometric.  Each adjoint

@@ -11,7 +11,7 @@ from banachlim.linmap import (is_isometric_embedding, is_one_lipschitz,
                               is_quotient_map, linear_map, operator_norm)
 from banachlim.space import norm_eval, norm_eval_sq, lp_space
 from banachlim.systems import (CompatibleVector, DirectSystem, InverseSystem,
-                               StageError, SubspaceGenerator, cv_scale, cv_sub,
+                               StageError, SubspaceGenerator,
                                compatible_from_tail, diagonal_subsequence,
                                direct_limit_norm, dualize, generator_from_tail,
                                invlim_convergence, l1_drop_system,
