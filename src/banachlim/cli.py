@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 
-from .scalar import format_scalar, parse_scalar, to_float
+from .scalar import format_scalar, parse_scalar, require_int, to_float
 from .space import space_from_json
 from .linmap import (is_isometric_embedding, is_quotient_map, linear_map,
                      operator_norm)
@@ -261,14 +261,19 @@ def _query_on(system, gen, job, args):
     """The DeterminingQuery of a job's rho, eps and eval_stage on gen."""
     search, certify = _configs(job, args)
     rho = RhoSchedule(tuple(parse_scalar(r) for r in job["rho"]))
-    eval_stage = int(job.get("eval_stage", gen.top_stage))
+    eval_stage = require_int(job.get("eval_stage", gen.top_stage),
+                             "eval_stage", 1)
     return DeterminingQuery(system, gen, rho, parse_scalar(job["eps"]),
                             eval_stage, search=search, certify=certify)
 
 
-def _generator(system, mats):
+def _generator(system, obj):
+    """A job's generator: {"tail": top-stage matrix}, or the list of its
+    stage matrices."""
+    if isinstance(obj, dict) and "tail" in obj:
+        return generator_from_tail(system, [_vec(row) for row in obj["tail"]])
     return SubspaceGenerator(system, [[_vec(row) for row in mat]
-                                      for mat in mats])
+                                      for mat in obj])
 
 
 def _parse_query(job, args):
@@ -279,16 +284,11 @@ def _parse_query(job, args):
         eps = parse_scalar(job.get("eps", "1/2"))
         rho = (tuple(parse_scalar(r) for r in job["rho"])
                if "rho" in job else None)
-        return prefix_obstruction_query(int(job["n"]), eps=eps, rho=rho,
-                                        search=search, certify=certify)
+        return prefix_obstruction_query(require_int(job["n"], "n", 1),
+                                        eps=eps, rho=rho, search=search,
+                                        certify=certify)
     system = _load_system(job["system"], args)
-    gen_obj = job["generator"]
-    if isinstance(gen_obj, dict) and "tail" in gen_obj:
-        gen = generator_from_tail(system,
-                                  [_vec(row) for row in gen_obj["tail"]])
-    else:
-        gen = _generator(system, gen_obj)
-    return _query_on(system, gen, job, args)
+    return _query_on(system, _generator(system, job["generator"]), job, args)
 
 
 def cmd_determine(args, job):
@@ -330,7 +330,8 @@ def cmd_gfda_check(args, job):
     gen = _generator(system, job["generator"])
     query = (_query_on(system, gen, job["query"], args) if "query" in job
              else None)
-    rep = gfda_check(system, gen, int(job["stages"]), query)
+    rep = gfda_check(system, gen, require_int(job["stages"], "stages", 1),
+                     query)
     return {
         "system": system.label,
         "stage_verdicts": [_map_verdict_out(v) for v in rep.stage_verdicts],
@@ -393,7 +394,8 @@ def cmd_curves(args, job):
     curve = _load_curve(job["curve"], args)
     ts = job.get("ts", "canonical")
     if ts == "canonical":
-        ts = curves_mod.canonical_grid(int(job.get("grid_points", 100)))
+        ts = curves_mod.canonical_grid(
+            require_int(job.get("grid_points", 100), "grid_points", 1))
     lo, hi = job.get("m_range", [4, 14])
     M = job.get("stage")
     if args.max_stage is not None:

@@ -17,6 +17,7 @@ compatible-vector machinery.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -89,10 +90,9 @@ class CoordinateCurve:
         return tuple(self.coordinate(k, t) for k in range(1, M + 1))
 
 
-def _float_stage_norm(system, M, coords):
-    space = system.stage(M)
-    x = [Q(Fraction(c)) for c in coords]
-    return to_float(norm_eval(space, x))
+def _float_stage_norm(system, M, x):
+    """||x||_M of an exact stage-M vector, as a float."""
+    return to_float(norm_eval(system.stage(M), x))
 
 
 def verify_lipschitz(curve: CoordinateCurve, M: int = None, samples: int = 64,
@@ -104,7 +104,7 @@ def verify_lipschitz(curve: CoordinateCurve, M: int = None, samples: int = 64,
     vals = [curve.values(t, M) for t in ts]
     L = curve.lipschitz_bound
     for i in range(samples):
-        diff = [a - b for a, b in zip(vals[i + 1], vals[i])]
+        diff = [Q(Fraction(a - b)) for a, b in zip(vals[i + 1], vals[i])]
         gap = _float_stage_norm(curve.system, M, diff)
         if gap > L * (ts[i + 1] - ts[i]) + tol:
             return False
@@ -152,7 +152,7 @@ def scale_gap(curve: CoordinateCurve, t, m, M) -> float:
     d1 = _quotient_tail(curve, t, 2.0**-m, M)
     d2 = _quotient_tail(curve, t, 2.0**-(m + 1), M)
     diff = [a - b for a, b in zip(d1, d2)]
-    return to_float(norm_eval(curve.system.stage(M), diff))
+    return _float_stage_norm(curve.system, M, diff)
 
 
 def _classify(gaps, ms):
@@ -241,9 +241,7 @@ def canonical_c0_curve(M: int = 20) -> CoordinateCurve:
                            "sine", label="canonical_c0")
 
 
-_GRID_CACHE = {}
-
-
+@functools.cache
 def canonical_grid(n: int = 100) -> tuple:
     """Deterministic n-point sample grid for the canonical curve pair.
 
@@ -257,8 +255,6 @@ def canonical_grid(n: int = 100) -> tuple:
     >= 0.31 for m in [4, 16] and summable-norm consecutive ratios <= 0.59
     for m in [4, 14].  The screening uses only the oracle, never the
     compatible-vector pipeline under test."""
-    if n in _GRID_CACHE:
-        return _GRID_CACHE[n]
     l1, c0 = canonical_l1_curve(), canonical_c0_curve()
     span = 1.0 - 2.0**-4
     golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -273,8 +269,7 @@ def canonical_grid(n: int = 100) -> tuple:
         ok = ((g0.min(axis=1) >= 0.31)
               & ((g1[:, 1:] / g1[:, :-1]).max(axis=1) <= 0.59))
         chosen.extend(block[ok])
-    _GRID_CACHE[n] = tuple(chosen[:n])
-    return _GRID_CACHE[n]
+    return tuple(chosen[:n])
 
 
 def report_to_json(report: DiffQuotientReport) -> str:

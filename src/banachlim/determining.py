@@ -29,9 +29,10 @@ import numpy as np
 
 from . import linalg
 from .linmap import is_quotient_map, linear_map
-from .scalar import ONE, Q, ZERO, rationalize, sqrt_bracket, to_float
+from .scalar import (ONE, Q, ZERO, rationalize, require_int, sqrt_bracket,
+                     to_float)
 from .space import (NormedSpace, ball_extreme_points, ball_form, dual_space,
-                    hpoly_space, norm_eval, norm_eval_sq, vpoly_space)
+                    hpoly_space, is_l2, norm_eval, norm_eval_sq, vpoly_space)
 from .systems import (InverseSystem, SubspaceGenerator, generator_from_tail,
                       invlim_convergence, linf_drop_system, project)
 
@@ -60,14 +61,6 @@ class RhoSchedule:
         return len(self.values)
 
 
-def _require_ints(config, what, bounds):
-    """Each (name, least) of bounds names an int field >= least (no bool)."""
-    for name, least in bounds:
-        v = getattr(config, name)
-        if not isinstance(v, int) or isinstance(v, bool) or v < least:
-            raise ValueError(f"{what} {name} must be an int >= {least}")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     starts: int = 16
@@ -76,8 +69,9 @@ class SearchConfig:
     max_den: int = 10**6
 
     def __post_init__(self):
-        _require_ints(self, "search", (("starts", 0), ("iters", 0),
-                                       ("max_den", 1)))
+        require_int(self.starts, "search starts", 0)
+        require_int(self.iters, "search iters", 0)
+        require_int(self.max_den, "search max_den", 1)
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,8 @@ class CertifyConfig:
         if isinstance(self.delta, bool) or not Q(self.delta) > 0:
             raise ValueError("certify delta must be > 0")
         object.__setattr__(self, "delta", Q(self.delta))
-        _require_ints(self, "certify", (("refine_rounds", 0), ("budget", 0)))
+        require_int(self.refine_rounds, "certify refine_rounds", 0)
+        require_int(self.budget, "certify budget", 0)
 
 
 _VERIFY_COST = 1000
@@ -128,7 +123,7 @@ class DeterminingQuery:
 def _norm_bracket(space, x):
     """Certified rational bracket (lo, hi) of the norm; exact for
     polytopal norms, a tight sqrt bracket for euclidean ones."""
-    if space.spec.kind == "lp" and space.spec.p == "2":
+    if is_l2(space):
         return sqrt_bracket(norm_eval_sq(space, x))
     n = norm_eval(space, x)
     return (n, n)

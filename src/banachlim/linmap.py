@@ -22,10 +22,10 @@ from functools import cached_property
 from . import linalg, space
 from .scalar import (Q, ZERO, ONE, format_scalar, from_float, parse_scalar,
                      sqrt_bracket, to_float)
-from .space import (LpNorm, NormSpecError, NormedSpace, _canonical_sign,
+from .space import (NormSpecError, NormedSpace, _canonical_sign,
                     ball_extreme_points, ball_form, dual_space,
-                    extreme_point_estimate, hull_gauge, lp_space, min_norm_lp,
-                    norm_eval, norm_eval_sq)
+                    extreme_point_estimate, hull_gauge, is_l2, lp_space,
+                    min_norm_lp, norm_eval, norm_eval_sq)
 
 EXACT = "exact"
 SAMPLED_BOUND = "sampled-bound"
@@ -123,10 +123,6 @@ class OpNormResult:
     value_sq: object = None    # exact square when the value is an l2 norm
 
 
-def _is_l2(X: NormedSpace) -> bool:
-    return isinstance(X.spec, LpNorm) and X.spec.p == "2"
-
-
 def adjoint(T: LinearMap) -> LinearMap:
     """T* : target* -> source*, transposed matrix (the inverted index map
     of a coordinate map)."""
@@ -140,12 +136,9 @@ def adjoint(T: LinearMap) -> LinearMap:
 
 def _opnorm_over_vertices(T: LinearMap, vertices):
     """max ||T v|| over the vertices (exact squares for an l2 target)."""
-    size = norm_eval_sq if _is_l2(T.target) else norm_eval
-    best = witness = None
-    for v in vertices:
-        s = size(T.target, T(v))
-        if best is None or s > best:
-            best, witness = s, v
+    size = norm_eval_sq if is_l2(T.target) else norm_eval
+    best, witness = max(((size(T.target, T(v)), v) for v in vertices),
+                        key=lambda pair: pair[0])
     if size is norm_eval_sq:
         lo, hi = sqrt_bracket(best)
         return OpNormResult((lo + hi) / 2, lo, hi, EXACT, witness, best)
@@ -249,7 +242,7 @@ def _with_source_witness(T: LinearMap, res, phi) -> OpNormResult:
 def operator_norm(T: LinearMap) -> OpNormResult:
     """Exact unless pure l2 -> l2 (a certified bracket there); the witness
     is a source vector that attains the norm."""
-    if _is_l2(T.source) and _is_l2(T.target):
+    if is_l2(T.source) and is_l2(T.target):
         return _opnorm_l2_l2(T)
     return _with_source_witness(T, *_route_norm(T))
 
@@ -258,7 +251,7 @@ def lipschitz_verdict(T: LinearMap) -> MapVerdict:
     """Exact ||T|| <= 1 verdict (polytopal routes, and pure l2 -> l2 via an
     exact PSD check); when it fails, the witness is operator_norm's, taken
     from the same route."""
-    if _is_l2(T.source) and _is_l2(T.target):
+    if is_l2(T.source) and is_l2(T.target):
         if _gram_at_most(_weighted_gram(T), ONE):
             return MapVerdict(True)
         witness = _opnorm_l2_l2(T).witness
@@ -298,21 +291,14 @@ def min_norm_preimage(T: LinearMap, v):
     if not in_range(T, v):
         raise RangeError("vector is not in the range of the map")
     spec = T.source.spec
-    n = T.source.dim
-    if isinstance(spec, LpNorm) and spec.p == "2":
-        # Minimize ||W u||_2 s.t. T u = v: substitute z = W u, minimize
-        # ||z||_2 with (T W^-1) z = v; z* = M^T (M M^T)^+ v on the row space.
-        M = tuple(tuple(T.matrix[i][j] / spec.weights[j] for j in range(n))
-                  for i in range(T.target.dim))
-        # Solve via least-norm: z = M^T y, M M^T y = v (restrict to
-        # independent rows for rank-deficient M).
-        rows = linalg.column_space_basis(linalg.transpose(M))
-        Mr = tuple(M[i] for i in rows)
-        vr = tuple(v[i] for i in rows)
-        G = linalg.mat_mul(Mr, linalg.transpose(Mr))
-        y = linalg.solve(G, vr)
-        z = linalg.mat_vec(linalg.transpose(Mr), y)
-        u = tuple(z[j] / spec.weights[j] for j in range(n))
+    if is_l2(T.source):
+        # Minimize ||W u||_2 s.t. T u = v: z = W u is the least-norm solution
+        # of M z = v, M = T W^-1, so z = M^T y for any y with M M^T y = v
+        # (consistent, as v is in the range; such y differ in ker M^T).
+        Mt = tuple(tuple(row[j] / w for row in T.matrix)
+                   for j, w in enumerate(spec.weights))
+        y = linalg.solve(linalg.mat_mul(linalg.transpose(Mt), Mt), v)
+        u = tuple(z / w for z, w in zip(linalg.mat_vec(Mt, y), spec.weights))
         return u, norm_eval(T.source, u)
     res = min_norm_lp(spec, T.matrix, v)
     if res is None:
@@ -358,15 +344,11 @@ def _covering_verdict(T: LinearMap, C: LinearMap, reason, lip=None):
     return MapVerdict(True)
 
 
-def is_quotient_map(T: LinearMap) -> MapVerdict:
+def is_quotient_map(T: LinearMap, lip=None) -> MapVerdict:
     """Surjective, 1-Lipschitz, and T covers the target ball: T maps the
-    source ball onto it."""
-    return _quotient_verdict(T)
-
-
-def _quotient_verdict(T: LinearMap, lip=None) -> MapVerdict:
-    """is_quotient_map(T), given lip = lipschitz_verdict(T) when known."""
-    if _is_l2(T.target):
+    source ball onto it.  lip, when given, must be lipschitz_verdict(T); a
+    caller that already holds it saves recomputing the operator norm."""
+    if is_l2(T.target):
         raise NormSpecError("quotient verdict needs a polytopal target ball")
     if not is_surjective(T):
         return MapVerdict(False, reason="not surjective")
@@ -380,11 +362,11 @@ def is_isometric_embedding(T: LinearMap) -> MapVerdict:
     must cover the source dual ball."""
     if not is_injective(T):
         return MapVerdict(False, reason="not injective")
-    if _is_l2(T.source) and _is_l2(T.target):
+    if is_l2(T.source) and is_l2(T.target):
         # Isometry iff the weighted matrix has orthonormal columns.
         ok = _weighted_gram(T) == linalg.identity(T.source.dim)
         return MapVerdict(ok, reason="" if ok else "columns not orthonormal")
-    if _is_l2(T.source):
+    if is_l2(T.source):
         raise NormSpecError("isometric-embedding verdict needs a polytopal "
                             "source ball (or pure l2 -> l2)")
     return _covering_verdict(T, adjoint(T), "dual extension needs norm > 1")

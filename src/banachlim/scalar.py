@@ -8,6 +8,7 @@ appear only as advisory shadows and in the derivative-free search fast paths.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 try:
@@ -52,6 +53,15 @@ def parse_scalar(s):
     return Q(int(s))
 
 
+def require_int(v, what, least=None):
+    """v, if an int (never a bool, nor a 2.7 coerced) >= least when given."""
+    if (isinstance(v, bool) or not isinstance(v, int)
+            or least is not None and v < least):
+        raise ValueError(f"{what} must be an int"
+                         + ("" if least is None else f" >= {least}"))
+    return v
+
+
 def format_scalar(q) -> str:
     """Serialize a rational as 'p' or 'p/q' (exact round trip)."""
     q = Q(q)
@@ -75,30 +85,25 @@ def rationalize(x: float, max_den: int = 10**6):
     return Q(Fraction(x).limit_denominator(max_den))
 
 
-def sqrt_bracket(q, rel=Q(1, 2**50)):
+def sqrt_bracket(q):
     """Exact two-sided bracket (lo, hi) for sqrt(q), q >= 0 rational.
 
-    lo*lo <= q <= hi*hi and hi - lo <= rel * max(hi, 1).
+    lo*lo <= q <= hi*hi and hi - lo <= 2^-50 * max(hi, 1), for every q:
+    q is scaled by a power of 4 into [1/2, 4) for the float square root
+    (exact in binary), and the bracket is scaled back by the power of 2.
     """
     q = Q(q)
     if q < 0:
         raise ValueError("sqrt of negative scalar")
     if q == 0:
         return ZERO, ZERO
-    import math
-
-    x = math.sqrt(to_float(q)) or 1.0
-    lo = from_float(x)
+    k = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    scale = Q(2) ** k
+    q = q / (scale * scale)
+    lo = from_float(math.sqrt(to_float(q)))
     if lo * lo > q:
         lo = q / lo  # now lo*lo <= q by AM-GM direction
-    hi = q / lo if lo > 0 else q + 1
-    if hi * hi < q:
-        lo, hi = hi, lo
-    # Newton refinement on the upper bound; lo tracks via q/hi.
-    while hi - lo > rel * max(hi, ONE):
-        hi = (hi + q / hi) / 2
-        lo = q / hi
-    return lo, hi
+    return lo * scale, q / lo * scale
 
 
 def sqrt_approx(q):

@@ -26,7 +26,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .scalar import Q, ZERO, ONE, parse_scalar, format_scalar, sqrt_approx
+from .scalar import (Q, ZERO, ONE, parse_scalar, format_scalar, require_int,
+                     sqrt_approx)
 from .simplex import LinearProgram, OPTIMAL
 
 # Where spaces switch from enumeration to LPs: up to this dimension a
@@ -281,11 +282,15 @@ def norm_eval(space: NormedSpace, x):
     raise NormSpecError(f"unknown spec {type(spec).__name__}")
 
 
+def is_l2(space: NormedSpace) -> bool:
+    """A (weighted) euclidean space: the one kind with no polytopal ball."""
+    return isinstance(space.spec, LpNorm) and space.spec.p == "2"
+
+
 def norm_eval_sq(space: NormedSpace, x):
     """Exact square of the norm (rational for every spec, incl. l2)."""
-    spec = space.spec
-    if isinstance(spec, LpNorm) and spec.p == "2" and len(x) == space.dim:
-        return sum((t * t for t in spec.weigh(linalg.vec(x))), ZERO)
+    if is_l2(space) and len(x) == space.dim:
+        return sum((t * t for t in space.spec.weigh(linalg.vec(x))), ZERO)
     n = norm_eval(space, x)     # raises DimensionMismatch on a bad length
     return n * n
 
@@ -484,4 +489,5 @@ def spec_from_json(obj):
 
 def space_from_json(obj) -> NormedSpace:
     spec = spec_from_json(obj["spec"])
-    return NormedSpace(int(obj["dim"]), spec, obj.get("label", ""))
+    return NormedSpace(require_int(obj["dim"], "space dim", 0), spec,
+                       obj.get("label", ""))

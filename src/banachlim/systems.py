@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .scalar import Q, ZERO, format_scalar, parse_scalar
-from .linmap import (LinearMap, _quotient_verdict, adjoint, is_quotient_map,
-                     lipschitz_verdict, linear_map, min_norm_preimage)
+from .scalar import Q, ZERO, format_scalar, parse_scalar, require_int
+from .linmap import (LinearMap, adjoint, is_quotient_map, lipschitz_verdict,
+                     linear_map, min_norm_preimage)
 from .space import (NormedSpace, ball_extreme_points, dual_space, lp_space,
                     norm_eval, norm_eval_sq, space_from_json, space_to_json,
                     vpoly_space)
@@ -84,7 +84,7 @@ def validate_standard(system):
         lip, witness = lv.verdict, lv.witness
         q_ok = None
         if quotient and lip:
-            qv = _quotient_verdict(T, lv)
+            qv = is_quotient_map(T, lv)
             q_ok = qv.verdict
             if not q_ok:
                 witness = qv.witness
@@ -210,11 +210,9 @@ def pairing_isometry_check(cv: CompatibleVector, eps=Q(0)) -> PairingVerdict:
     w = project(cv, M)
     space = cv.system.stage(M)
     target = norm_eval(space, w)
-    best_phi, best = None, None
-    for phi in ball_extreme_points(dual_space(space)):
-        val = linalg.dot(phi, w)
-        if best is None or val > best:
-            best, best_phi = val, phi
+    best, best_phi = max(((linalg.dot(phi, w), phi)
+                          for phi in ball_extreme_points(dual_space(space))),
+                         key=lambda pair: pair[0])
     ok = best == target
     gap_ok = None
     if cv.limit_norm is not None:
@@ -377,53 +375,49 @@ def generator_from_tail(system: InverseSystem, g_top, top=None
 # ---------------------------------------------------------------------------
 # Built-in system library
 
-def _drop_system(p, max_stage, label):
-    @functools.cache        # one space per stage, shared with the bonds
+def _coordinate_system(cls, p, max_stage, label, prefix, **kw):
+    """lp^i stages, one space each shared with the bonds; an inverse system
+    drops the last coordinate, a direct one pads a zero."""
+    @functools.cache
     def space_fn(i):
-        return lp_space(p, dim=i, label=f"{label}_{i}")
+        return lp_space(p, dim=i, label=f"{prefix}_{i}")
 
     def bond_fn(i):
-        return LinearMap(space_fn(i + 1), space_fn(i), coords=tuple(range(i)))
+        if cls is InverseSystem:
+            return LinearMap(space_fn(i + 1), space_fn(i),
+                             coords=tuple(range(i)))
+        return LinearMap(space_fn(i), space_fn(i + 1),
+                         coords=tuple(range(i)) + (None,))
 
-    return space_fn, bond_fn
+    return cls(space_fn, bond_fn, max_stage, label, **kw)
 
 
 def l1_drop_system(max_stage) -> InverseSystem:
     """W_i = l1^i with last-coordinate drop (quotient system; the inverse
     limit realizes l1 = c0*, the RNP side of the dichotomy)."""
-    sf, bf = _drop_system("1", max_stage, "l1")
-    return InverseSystem(sf, bf, max_stage, "l1_drop",
-                         is_quotient_system=True)
+    return _coordinate_system(InverseSystem, "1", max_stage, "l1_drop", "l1",
+                              is_quotient_system=True)
 
 
 def linf_drop_system(max_stage) -> InverseSystem:
     """W_i = linf^i with drop bonds (hosts the c0 non-RNP subspace)."""
-    sf, bf = _drop_system("inf", max_stage, "linf")
-    return InverseSystem(sf, bf, max_stage, "linf_drop",
-                         is_quotient_system=True)
+    return _coordinate_system(InverseSystem, "inf", max_stage, "linf_drop",
+                              "linf", is_quotient_system=True)
 
 
 def l2_drop_system(max_stage) -> InverseSystem:
     """W_i = l2^i with drop bonds.  The bonds are quotient maps
     mathematically, but the l2 ball is not polytopal so the exact quotient
     verdict machinery does not certify them; the flag stays unset."""
-    sf, bf = _drop_system("2", max_stage, "l2")
-    return InverseSystem(sf, bf, max_stage, "l2_drop",
-                         is_quotient_system=False)
+    return _coordinate_system(InverseSystem, "2", max_stage, "l2_drop", "l2",
+                              is_quotient_system=False)
 
 
 def linf_padding_system(max_stage) -> DirectSystem:
     """E_i = linf^i with zero-padding bonds (isometrically injective);
     its dual is the l1 coordinate-drop inverse system."""
-    @functools.cache
-    def space_fn(i):
-        return lp_space("inf", dim=i, label=f"linfpad_{i}")
-
-    def bond_fn(i):
-        return LinearMap(space_fn(i), space_fn(i + 1),
-                         coords=tuple(range(i)) + (None,))
-
-    return DirectSystem(space_fn, bond_fn, max_stage, "linf_pad")
+    return _coordinate_system(DirectSystem, "inf", max_stage, "linf_pad",
+                              "linfpad")
 
 
 def random_quotient_system(seed, max_stage, dim_cap=3) -> InverseSystem:
@@ -494,11 +488,10 @@ def system_to_json(system):
 def system_from_json(obj):
     if "builtin" in obj:
         name = obj["builtin"]
-        stages = obj["stages"]
-        if type(stages) is not int or stages < 1:     # refuses bool too
-            raise ValueError("system stages must be an int >= 1")
+        stages = require_int(obj["stages"], "system stages", 1)
         if name == "random_quotient":
-            return random_quotient_system(int(obj.get("seed", 0)), stages)
+            return random_quotient_system(
+                require_int(obj.get("seed", 0), "system seed"), stages)
         if name not in BUILTIN_SYSTEMS:
             raise ValueError(f"unknown builtin system {name!r}")
         return BUILTIN_SYSTEMS[name](stages)
@@ -510,6 +503,8 @@ def system_from_json(obj):
         raise ValueError("system spaces must list at least one space")
     if len(mats) != n - 1:
         raise ValueError("system bonds must list len(spaces) - 1 matrices")
+    if require_int(obj.get("stages", n), "system stages", 1) != n:
+        raise ValueError("system stages must equal len(spaces)")
     if obj.get("kind", "inverse") == "direct":
         bonds = [linear_map(spaces[i], spaces[i + 1], mats[i])
                  for i in range(n - 1)]

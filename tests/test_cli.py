@@ -428,6 +428,97 @@ def test_max_stage_truncates_loaded_systems(tmp_path, capsys):
     assert "--max-stage" in capsys.readouterr().err
 
 
+def _report(capsys, command, path, *extra):
+    """(exit code, report without its manifest) of one CLI call."""
+    code, out = _run(capsys, command, path, *extra)
+    report = _strict_loads(out)
+    del report["manifest"]
+    return code, report
+
+
+# The same generator, once as its top-stage matrix and once as the list of
+# its stage matrices, in each command that reads a generator.
+@pytest.mark.parametrize("command, job, tail, matrices", [
+    ("determine", {"system": {"builtin": "l1_drop", "stages": 4},
+                   "rho": ["1/2", "1/2"], "eps": "3/4",
+                   "certify": {"delta": "1/10"}},
+     [["1"], ["0"], ["0"], ["0"]],
+     [[["1"]], [["1"], ["0"]], [["1"], ["0"], ["0"]],
+      [["1"], ["0"], ["0"], ["0"]]]),
+    ("gfda-check", {"system": {"builtin": "linf_drop", "stages": 3},
+                    "stages": 3,
+                    "query": {"rho": ["1/2", "1/2"], "eps": "1/4",
+                              "certify": {"delta": "1/10"}}},
+     _FLIP_GEN[-1], _FLIP_GEN),
+], ids=["determine", "gfda-check"])
+def test_generator_tail_and_matrices_give_one_report(tmp_path, capsys,
+                                                     command, job, tail,
+                                                     matrices):
+    by_tail = _write(tmp_path, "tail.json",
+                     dict(job, generator={"tail": tail}))
+    by_mats = _write(tmp_path, "mats.json", dict(job, generator=matrices))
+    code, report = _report(capsys, command, by_tail)
+    assert (code, report) == _report(capsys, command, by_mats)
+    assert code == (0 if command == "determine" else 1)
+
+
+def test_gfda_check_without_a_query_uses_the_default(tmp_path, capsys):
+    job = _write(tmp_path, "g.json", {
+        "system": {"builtin": "linf_drop", "stages": 3},
+        "generator": {"tail": _FLIP_GEN[-1]}, "stages": 3})
+    code, report = _report(capsys, "gfda-check", job)
+    assert code == 1 and not report["passes"]
+    assert [v["verdict"] for v in report["stage_verdicts"]] == [True, False,
+                                                                True]
+    assert report["certify"]["kind"] == "counterexample"
+
+
+def test_curves_on_the_canonical_grid_with_max_stage(tmp_path, capsys):
+    from banachlim import curves
+    job = _write(tmp_path, "c.json", {"curve": "canonical_l1",
+                                      "ts": "canonical", "grid_points": 2,
+                                      "m_range": [4, 6]})
+    code, report = _report(capsys, "curves", job, "--max-stage", "5")
+    assert code == 0
+    assert report["curve"] == "canonical_l1" and report["eval_stage"] == 5
+    assert tuple(report["ts"]) == curves.canonical_grid(2)
+    curve = curves.canonical_l1_curve()
+    for t, row in zip(report["ts"], report["gaps"]):
+        for m, gap in zip(report["ms"], row):
+            assert gap == pytest.approx(
+                curves.coordinate_gap_oracle(curve, t, m, 5), abs=1e-9)
+    code, report = _report(capsys, "curves", job)
+    assert code == 0 and report["eval_stage"] == 20
+
+
+def test_failed_report_write_leaves_no_temp_file(tmp_path, capsys,
+                                                 monkeypatch):
+    from banachlim import cli
+
+    def refuse(src, dst):
+        raise OSError("refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    job = _write(tmp_path, "sys.json", {"builtin": "l1_drop", "stages": 2})
+    out = str(tmp_path / "r.json")
+    assert main(["validate", job, "--out", out]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sys.json"]
+
+
+@pytest.mark.parametrize("value", ["1e-200", "1e200"])
+def test_norms_outside_the_float_range(tmp_path, capsys, value):
+    from fractions import Fraction
+    job = _write(tmp_path, "n.json", {
+        "system": {"builtin": "l2_drop", "stages": 2},
+        "vectors": [[value, "0"]]})
+    code, out = _run(capsys, "norms", job)
+    assert code == 0
+    v = Fraction(value)
+    for norm in _strict_loads(out)["vectors"][0]["stage_norms"]:
+        assert abs(Fraction(norm["exact"]) / v - 1) <= Fraction(1, 2**49)
+
+
 def test_bad_job_exits_three(tmp_path, capsys):
     job = _write(tmp_path, "bad.json", {"nonsense": True})
     assert main(["determine", job]) == 3
@@ -469,6 +560,37 @@ _BAD_SYSTEMS = {
     "system-surplus-bonds": ({"spaces": [_L1_LINE, _L1_LINE],
                               "bonds": [[["1"]], [["1"]], [["1", "1"]]]},
                              "bonds"),
+    "random-quotient-fractional-seed": (
+        {"builtin": "random_quotient", "stages": 2, "seed": 2.7}, "seed"),
+    "random-quotient-bool-seed": (
+        {"builtin": "random_quotient", "stages": 2, "seed": True}, "seed"),
+    "system-stages-not-len-spaces": (
+        {"stages": 5, "spaces": [_L1_LINE], "bonds": []}, "stages"),
+    "system-fractional-space-dim": (
+        {"spaces": [dict(_L1_LINE, dim=1.5)], "bonds": []}, "dim"),
+    "system-bool-space-dim": (
+        {"spaces": [dict(_L1_LINE, dim=True)], "bonds": []}, "dim"),
+}
+
+
+def _gfda_job(**fields):
+    """The flip-generator gfda-check job, with fields replaced."""
+    return dict({"system": {"builtin": "linf_drop", "stages": 3},
+                 "generator": _FLIP_GEN, "stages": 3}, **fields)
+
+
+# Integer job fields that int() would have coerced.
+_BAD_INTS = {
+    "canonical-fractional-n": ("determine", dict(_certify_job(), n=2.7)),
+    "canonical-bool-n": ("determine", dict(_certify_job(), n=True)),
+    "fractional-eval-stage": ("determine", dict(_search_job(starts=1),
+                                                eval_stage=2.5)),
+    "gfda-fractional-stages": ("gfda-check", _gfda_job(stages=2.5)),
+    "gfda-bool-stages": ("gfda-check", _gfda_job(stages=True)),
+    "curves-fractional-grid-points": ("curves", {
+        "curve": "canonical_l1", "ts": "canonical", "grid_points": 2.5}),
+    "curves-zero-grid-points": ("curves", {
+        "curve": "canonical_l1", "ts": "canonical", "grid_points": 0}),
 }
 
 
@@ -493,7 +615,8 @@ _BAD_SYSTEMS = {
     ("determine", json.dumps(_certify_job(dim_cap="x")), []),
     ("determine", json.dumps(_certify_job(dim_cap=4)), []),
     ("determine", json.dumps(dict(_certify_job(), search=[])), []),
-] + [("validate", json.dumps(job), []) for job, _ in _BAD_SYSTEMS.values()],
+] + [("validate", json.dumps(job), []) for job, _ in _BAD_SYSTEMS.values()]
+    + [(command, json.dumps(job), []) for command, job in _BAD_INTS.values()],
     ids=["unreadable", "malformed-json", "zero-denominator", "top-level-list",
         "list-as-space", "unwritable-report", "unwritable-dual",
         "unwritable-csv", "search-without-start", "search-negative-starts",
@@ -501,7 +624,7 @@ _BAD_SYSTEMS = {
         "certify-negative-delta", "certify-negative-rounds",
         "certify-negative-budget", "certify-zero-dim-cap",
         "certify-string-dim-cap", "certify-dim-cap-field",
-        "search-not-an-object"] + list(_BAD_SYSTEMS))
+        "search-not-an-object"] + list(_BAD_SYSTEMS) + list(_BAD_INTS))
 def test_bad_inputs_exit_three(tmp_path, capsys, command, text, extra):
     path = tmp_path / "job.json"
     if text is not None:

@@ -5,7 +5,8 @@ import pytest
 
 from banachlim.scalar import to_float
 from banachlim.space import norm_eval
-from banachlim.systems import l1_drop_system, linf_drop_system, project
+from banachlim.systems import (l1_drop_system, l2_drop_system,
+                               linf_drop_system, project)
 from banachlim.curves import (CoordinateCurve, canonical_c0_curve,
                               canonical_grid, canonical_l1_curve,
                               coordinate_gap_oracle, difference_quotient,
@@ -142,6 +143,22 @@ def test_scan_matches_oracle():
             for m in ms:
                 assert scale_gap(curve, t, m, 20) == pytest.approx(
                     coordinate_gap_oracle(curve, t, m, 20), abs=1e-9)
+
+
+@pytest.mark.parametrize("build, waveform", [
+    (l1_drop_system, "sawtooth"), (l2_drop_system, "sine"),
+    (l2_drop_system, "sawtooth")])
+def test_scan_matches_oracle_on_sawtooth_and_l2_curves(build, waveform):
+    """The oracle's sawtooth and l2 branches agree with the exact scan
+    (power-of-2 amplitudes and frequencies, so both round alike)."""
+    M, ts, ms = 6, (0.1, 0.37, 0.8), range(3, 9)
+    curve = CoordinateCurve(build(M), tuple(2.0**-k for k in range(1, M + 1)),
+                            tuple(2.0**k for k in range(1, M + 1)), waveform)
+    rep = differentiability_scan(curve, ts, ms)
+    for t, row in zip(ts, rep.gaps):
+        for m, gap in zip(ms, row):
+            assert gap == pytest.approx(
+                coordinate_gap_oracle(curve, t, m, M), abs=1e-9)
 
 
 def test_canonical_grid_properties():

@@ -114,6 +114,38 @@ def test_min_norm_preimage_l2_exact():
     assert u == (Q(1, 2), Q(1, 2))
 
 
+def test_min_norm_preimage_of_the_zero_map_from_weighted_l2():
+    src = lp_space(2, weights=(Q(2), Q(1, 3), ONE))
+    for tgt in (lp_space(1, dim=2), lp_space(2, dim=1)):
+        T = linear_map(src, tgt, [[0, 0, 0]] * tgt.dim)
+        assert min_norm_preimage(T, (ZERO,) * tgt.dim) == ((ZERO,) * 3, 0)
+
+
+def test_min_norm_preimage_l2_on_rank_deficient_maps():
+    """T u = v, and u is least-norm: W^2 u lies in the row space of T (the
+    Lagrange condition of min ||W u||^2 s.t. T u = v)."""
+    rng = random.Random(14)
+    deficient = 0
+    for _ in range(60):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        weights = [Q(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)]
+        src = lp_space(2, weights=weights)
+        rows = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:        # a dependent row
+            rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])
+        T = linear_map(src, lp_space(1, dim=len(rows)), rows)
+        deficient += linalg.rank(T.matrix) < len(rows)
+        x = random_rational_vector(rng, n)
+        v = T(x)
+        u, val = min_norm_preimage(T, v)
+        assert T(u) == v
+        w2u = tuple(w * w * c for w, c in zip(weights, u))
+        assert linalg.rank(T.matrix + (w2u,)) == linalg.rank(T.matrix)
+        assert norm_eval_sq(src, u) <= norm_eval_sq(src, x)
+        assert val == norm_eval(src, u)
+    assert deficient >= 20
+
+
 def test_min_norm_preimage_permutation_invariant():
     rng = random.Random(41)
     for _ in range(5):
