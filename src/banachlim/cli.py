@@ -20,7 +20,8 @@ import os
 import sys
 import tempfile
 
-from .scalar import format_scalar, parse_scalar, require_int, to_float
+from .scalar import (format_scalar, parse_scalar, require_int, require_type,
+                     to_float)
 from .space import space_from_json
 from .linmap import (is_isometric_embedding, is_quotient_map, linear_map,
                      operator_norm)
@@ -81,9 +82,12 @@ def _write_atomic(path, text):
 
 
 def _load_job(path):
+    def no_constant(name):
+        raise ValueError(f"{path}: {name} is not a number JSON allows")
+
     try:
         with open(path) as fh:
-            job = json.load(fh)
+            job = json.load(fh, parse_constant=no_constant)
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
@@ -387,7 +391,7 @@ def _load_curve(obj, args):
     return curves_mod.CoordinateCurve(
         system, tuple(obj["amplitudes"]), tuple(obj["frequencies"]),
         obj.get("waveform", "sine"), obj.get("lipschitz_bound"),
-        obj.get("label", "curve"))
+        require_type(obj.get("label", "curve"), str, "curve label"))
 
 
 def cmd_curves(args, job):

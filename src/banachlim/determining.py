@@ -24,6 +24,7 @@ import itertools
 import math
 import random as _random
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .linmap import is_quotient_map, linear_map
 from .scalar import (ONE, Q, ZERO, rationalize, require_int, sqrt_bracket,
                      to_float)
 from .space import (NormedSpace, ball_extreme_points, ball_form, dual_space,
-                    hpoly_space, is_l2, norm_eval, norm_eval_sq, vpoly_space)
+                    hpoly_space, is_l2, norm_eval, vpoly_space)
 from .systems import (InverseSystem, SubspaceGenerator, generator_from_tail,
                       invlim_convergence, linf_drop_system, project)
 
@@ -120,13 +121,20 @@ class DeterminingQuery:
 # ---------------------------------------------------------------------------
 # Exact pair verification
 
-def _norm_bracket(space, x):
-    """Certified rational bracket (lo, hi) of the norm; exact for
-    polytopal norms, a tight sqrt bracket for euclidean ones."""
+def _bracket(space, v, c):
+    """Certified bracket of ||v / c|| for a vector v of integers over c > 0,
+    as two (numerator, denominator) pairs: exact for polytopal norms, a
+    tight sqrt bracket for euclidean ones."""
+    f, s = space.scaled_norm
     if is_l2(space):
-        return sqrt_bracket(norm_eval_sq(space, x))
-    n = norm_eval(space, x)
-    return (n, n)
+        return [(b.numerator, b.denominator)
+                for b in sqrt_bracket(Q(f(v), s * c * c))]
+    return [(f(v), s * c)] * 2
+
+
+def _max(p, r):
+    """The larger of two (numerator, positive denominator) pairs."""
+    return p if p[0] * r[1] >= r[0] * p[1] else r
 
 
 @dataclass(frozen=True)
@@ -150,38 +158,53 @@ def verify_pair(q: DeterminingQuery, a, a_prime):
     """Exact re-check of a candidate pair against the strict constraints
     and the separation threshold (stage-M operative norm).  The check is
     scale invariant, so no normalization of (a, a') is required.  Ties
-    count as failures; returns a Counterexample or None."""
-    gen, M, N = q.gen, q.eval_stage, q.rho.length
-    a = gen.param_vector(a)
-    ap = gen.param_vector(a_prime)
+    count as failures; returns a Counterexample or None.
+
+    The stage images are integer vectors over one denominator c (the
+    generator's scaled matrices times the scaled pair), and norms and
+    slacks (numerator, denominator) pairs; rationals are built only for
+    the Counterexample."""
+    M, N = q.eval_stage, q.rho.length
+    a, ap = q.gen.param_vector(a), q.gen.param_vector(a_prime)
+    den, mats = q.gen.scaled
+    (x, cx), (y, cy) = linalg.scaled(a), linalg.scaled(ap)
+    c, zs = den * cx * cy, ([t * cy for t in x], [t * cx for t in y])
+
+    def images(i):
+        return [[sum(map(mul, r, z)) for r in mats[i - 1]] for z in zs]
+
     top = q.system.stage(M)
-    vs = [linalg.mat_vec(gen.matrix(M), x) for x in (a, ap)]
-    brs = [_norm_bracket(top, v) for v in vs]
-    if brs[0][1] == 0 or brs[1][1] == 0:
+    vs = images(M)
+    brs = [_bracket(top, v, c) for v in vs]
+    if brs[0][1][0] == 0 or brs[1][1][0] == 0:
         return None
     tail_slacks = []
-    for i in range(1, N + 1):
-        rho_i = q.rho.values[i - 1]
-        row, ims = [], []       # after the loop, ims are the stage-N images
-        for x, v, (_, nhi) in zip((a, ap), vs, brs):
-            ims.append(v if i == M else linalg.mat_vec(gen.matrix(i), x))
-            slack = _norm_bracket(q.system.stage(i), ims[-1])[0] \
-                - (ONE - rho_i) * nhi
-            if slack <= 0:
+    for i, rho in enumerate(q.rho.values, 1):
+        rn, rd = rho.numerator, rho.denominator
+        row, ims = [], images(i)    # after the loop, the stage-N images
+        for v, (_, (hn, hd)) in zip(ims, brs):
+            (ln, ld), _ = _bracket(q.system.stage(i), v, c)
+            slack = (ln * rd * hd - (rd - rn) * hn * ld, ld * rd * hd)
+            if slack[0] <= 0:
                 return None
             row.append(slack)
-        tail_slacks.append(tuple(row))
-    mx = (max(brs[0][0], brs[1][0]), max(brs[0][1], brs[1][1]))
+        tail_slacks.append(row)
+    (mln, mld), (mhn, mhd) = (_max(brs[0][k], brs[1][k]) for k in (0, 1))
     # The difference images, by linearity of each stage map.
-    d_n = _norm_bracket(q.system.stage(N), linalg.vec_sub(*ims))
-    prox = mx[0] / N - d_n[1]
-    if prox <= 0:
+    _, (dn, dd) = _bracket(q.system.stage(N),
+                           [p - r for p, r in zip(*ims)], c)
+    prox = (mln * dd - N * dn * mld, N * mld * dd)
+    if prox[0] <= 0:
         return None
-    d_m = _norm_bracket(top, linalg.vec_sub(*vs))
-    if d_m[0] < q.eps * mx[1]:
+    (ln, ld), _ = _bracket(top, [p - r for p, r in zip(*vs)], c)
+    en, ed = q.eps.numerator, q.eps.denominator
+    if ln * ed * mhd < en * mhn * ld:
         return None
-    return Counterexample(tuple(a), tuple(ap), tuple(vs[0]), tuple(vs[1]),
-                          tuple(tail_slacks), prox, d_m[0] / mx[1])
+    return Counterexample(a, ap, linalg.unscale(vs[0], c),
+                          linalg.unscale(vs[1], c),
+                          tuple(tuple(Q(*p) for p in row)
+                                for row in tail_slacks),
+                          Q(*prox), Q(ln * mhd, ld * mhn))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +417,8 @@ def _face_points(face, sgn, coord_vals):
 
 
 def _local_vals(center, half, quarter, lo, hi):
+    """The five points center - half + k * quarter clamped to [lo, hi],
+    distinct and sorted (integers on the sweep's lattice)."""
     return sorted({min(max(center - half + k * quarter, lo), hi)
                    for k in range(5)})
 
@@ -418,7 +443,12 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
     The coarse grid and every refinement share one node evaluator:
     ``sphere`` projects cube points to the sphere, each exactly once per
     call, and filters them by float tail slack; ``pair_terms`` evaluates
-    the float pair terms of an (a, u, t) grid as G a - t (G u)."""
+    the float pair terms of an (a, u, t) grid as G a - t (G u).
+
+    Every node lies on a fixed lattice, as refinement quarters the steps
+    at most refine_rounds + 1 times and clamping to the cube keeps a node
+    on it: cube points are integers over D and levels t integers over
+    Dt."""
     d = q.gen.param_dim
     if d > _CERTIFY_DIM:
         raise ValueError(f"parameter dimension {d} above certification cap")
@@ -428,10 +458,17 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
     l_rad = 2 * c_max / c_min          # radial projection, cube -> nu sphere
     fq = _FloatQuery(q)
 
+    f_nu, s_nu = nu.scaled_norm
+
     @functools.cache
     def proj(x):
-        e = linalg.vec_scale(1 / norm_eval(nu, x), x)
-        return e, [to_float(c) for c in e]
+        # x / nu(x) = x s_nu / f_nu(x), as D cancels (an LP gauge is a
+        # rational g); int / int is the correctly rounded float (for mpz
+        # integers too), as to_float gives.
+        g = f_nu(x)
+        e = [c * s_nu * g.denominator for c in x]
+        return (linalg.unscale(e, g.numerator),
+                [int(c) / int(g.numerator) for c in e])
 
     def sphere(points, tau_s):
         """Project (face, cube point) nodes to the nu sphere; keep those
@@ -450,7 +487,7 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
     def pair_terms(Va, Vu, ts, tau_p):
         """Over the (a, u, t) grid of the images Va, Vu and the levels ts:
         whether both pair terms exceed -tau_p, and min(prox, sep)."""
-        T = np.array([to_float(t) for t in ts])
+        T = np.array([int(t) / int(Dt) for t in ts])
 
         def dist(i):
             return fq.norm[i](Va[i][:, None, None, :]
@@ -458,38 +495,41 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
         prox, sep = 1 / fq.N - dist(fq.N), dist(fq.M) - fq.eps
         return (prox > -tau_p) & (sep > -tau_p), np.minimum(prox, sep)
 
-    # Per-term exclusion margins: the tail slack of a sphere point is
-    # 1-Lipschitz on the sphere (covering radius l_rad*h/2); the pair
-    # terms are 1-Lipschitz in (a, u, t) with summed covering radii.
+    # Per-term exclusion margins at steps h / D, ht / Dt (one pair per
+    # level): the tail slack of a sphere point is 1-Lipschitz on the sphere
+    # (covering radius l_rad*h/2); the pair terms are 1-Lipschitz in
+    # (a, u, t) with summed covering radii.
+    @functools.cache
     def margins(h, ht):
+        h, ht = Q(h, D), Q(ht, Dt)
         return (to_float(l_rad * h / 2) + 1e-9,
                 to_float(l_rad * h + ht / 2) + 1e-9)
 
     def try_verify(a_pt, u_pt, t):
         nonlocal work
         work += _VERIFY_COST
-        if t == 0:
-            t = step_t / Q(4 ** (q.certify.refine_rounds + 1))
+        t = Q(t or 1, Dt)       # t = 0 is read as the least level
         return verify_pair(q, a_pt, tuple(t * c for c in u_pt))
 
     def refine(a, u, t, h, ht, depth):
-        """Cover the cube cells around a suspect triple at step h/4."""
+        """Cover the cube cells around a suspect triple at step h/4 (h, ht
+        in lattice units)."""
         nonlocal checked, refinements, work
         if work > q.certify.budget:
             return "budget", None
         refinements += 1
-        h4, ht4 = h / 4, ht / 4
+        h4, ht4 = h // 4, ht // 4
         tau_s, tau_p = margins(h4, ht4)
 
         def local(face, p):
             return _face_points(face, p[face], [
-                _local_vals(p[k], h / 2, h4, -ONE, ONE)
+                _local_vals(p[k], h // 2, h4, -D, D)
                 for k in range(d) if k != face])
 
         an, un = local(*a), local(*u)
         ka, Ea, Va, _ = sphere(an, tau_s)
         ku, Eu, Vu, _ = sphere(un, tau_s)
-        ts = _local_vals(t, ht / 2, ht4, ZERO, ONE)
+        ts = _local_vals(t, ht // 2, ht4, 0, Dt)
         checked += len(ka) * len(ku) * len(ts)
         work += len(ka) * len(ku) * len(ts)
         ok, g = pair_terms(Va, Vu, ts, tau_p)
@@ -504,27 +544,31 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
                 if sub[0] != "ok":
                     return sub
             else:
-                worst = (Ea[ia], Eu[iu], ts[it], float(g[ia, iu, it]))
+                worst = (Ea[ia], Eu[iu], Q(ts[it], Dt),
+                         float(g[ia, iu, it]))
         return ("ok", None) if worst is None else ("undecided", worst)
 
     def report(kind, statement, **kw):
         return CertifyReport(kind, statement, q.eval_stage, q.eps, h0,
-                             l_rad * step_a + step_t / 2,
+                             l_rad * Q(2, n) + Q(1, 2 * n_lev),
                              points_checked=checked, refinements=refinements,
                              **kw)
 
     h0 = q.certify.delta
     n, n_lev = (max(1, math.ceil(k / float(h0))) for k in (2, 1))
-    vals, step_a = [Q(2 * k, n) - 1 for k in range(n + 1)], Q(2, n)
-    t_vals, step_t = [Q(k, n_lev) for k in range(n_lev + 1)], Q(1, n_lev)
+    # The coarse steps 2/n and 1/n_lev are 2 fine / D and fine / Dt.
+    fine = 4 ** (q.certify.refine_rounds + 1)
+    D, Dt = n * fine, n_lev * fine
+    vals = [2 * k * fine - D for k in range(n + 1)]
+    t_vals = [k * fine for k in range(n_lev + 1)]
     # a ranges over half the sphere faces (joint negation symmetry), u over
     # all of them: each +1 face, then its points negated.
     a_nodes, u_nodes = [], []
     for face in range(d):
-        pts = _face_points(face, ONE, [vals] * (d - 1))
+        pts = _face_points(face, D, [vals] * (d - 1))
         a_nodes += pts
         u_nodes += pts + [(face, tuple(-c for c in p)) for _, p in pts]
-    tau_s0, tau_p0 = margins(step_a, step_t)
+    tau_s0, tau_p0 = margins(2 * fine, fine)
     ka, Ea, Va, slack_a = sphere(a_nodes, tau_s0)
     ku, Eu, Vu, slack_u = sphere(u_nodes, tau_s0)
     checked = work = len(a_nodes) * len(u_nodes) * len(t_vals)
@@ -537,8 +581,9 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
         ok, g = pair_terms({i: V[ia:ia + 1] for i, V in Va.items()}, Vu,
                            t_vals, tau_p0)
         g = np.minimum(g[0], np.minimum(slack_a[ia], slack_u)[:, None])
-        suspects += [(float(g[iu, it]), ia, int(iu), int(it))
-                     for iu, it in zip(*np.nonzero(ok[0]))]
+        iu, it = np.nonzero(ok[0])
+        suspects += zip(g[iu, it].tolist(), itertools.repeat(ia),
+                        iu.tolist(), it.tolist())
     suspects.sort(key=lambda s: -s[0])
     exhausted = ("work budget exhausted before all suspects were resolved; "
                  "raise the budget or the delta")
@@ -548,7 +593,7 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
             return report("undecided", exhausted, straddle=straddle)
         ce = try_verify(Ea[ia], Eu[iu], t_vals[it])
         kind, found = ("ce", ce) if ce is not None else refine(
-            a_nodes[ka[ia]], u_nodes[ku[iu]], t_vals[it], step_a, step_t,
+            a_nodes[ka[ia]], u_nodes[ku[iu]], t_vals[it], 2 * fine, fine,
             q.certify.refine_rounds)
         if kind == "ce":
             return report("counterexample",

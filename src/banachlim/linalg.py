@@ -1,11 +1,22 @@
 """Exact rational dense linear algebra: elimination, rank, solve, nullspace.
 
 Matrices are tuples of row tuples of exact rationals; vectors are tuples.
-Everything here is fraction-free-in-spirit but plain Gaussian elimination
-over the rationals is exact anyway, and the sizes in this package are tiny.
+Elimination is plain Gaussian elimination over the rationals (the sizes in
+this package are tiny).
+
+Exact data that are combined many times (generator matrices, facet normals,
+grid lattices) also have a scaled form: a tuple of backend integers over one
+positive denominator, the lcm of the entries' denominators.  Products and
+sums of scaled data are integer operations, with no gcd per operation (the
+rational kernels normalise one per operation); a rational is built once per
+result, by dividing by the denominator.  The form reads only .numerator and
+.denominator, so gmpy2 mpq entries give mpz numerators.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 from .scalar import Q, RAT, ZERO, ONE
 
@@ -17,6 +28,25 @@ def vec(xs):
 
 def mat(rows):
     return tuple(map(vec, rows))
+
+
+def scaled(xs):
+    """xs as (numerators, den): integers over one positive denominator, the
+    lcm of the entries' denominators (((), 1) for no entries)."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (den // x.denominator) for x in xs), den
+
+
+def scaled_rows(rows):
+    """rows as (integer rows, den) over one common positive denominator."""
+    flat, den = scaled([x for r in rows for x in r])
+    it = iter(flat)
+    return tuple(tuple(itertools.islice(it, len(r))) for r in rows), den
+
+
+def unscale(nums, den):
+    """The exact rationals n / den of a scaled vector."""
+    return tuple(Q(n, den) for n in nums)
 
 
 def mat_vec(A, x):

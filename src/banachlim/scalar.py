@@ -62,6 +62,14 @@ def require_int(v, what, least=None):
     return v
 
 
+def require_type(v, kind, what):
+    """v, if a JSON value of exactly the type kind: str or bool."""
+    if type(v) is not kind:
+        raise ValueError(f"{what} must be a JSON "
+                         + ("string" if kind is str else "bool"))
+    return v
+
+
 def format_scalar(q) -> str:
     """Serialize a rational as 'p' or 'p/q' (exact round trip)."""
     q = Q(q)

@@ -24,10 +24,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .scalar import (Q, ZERO, ONE, parse_scalar, format_scalar, require_int,
-                     sqrt_approx)
+                     require_type, sqrt_approx)
 from .simplex import LinearProgram, OPTIMAL
 
 # Where spaces switch from enumeration to LPs: up to this dimension a
@@ -59,16 +60,6 @@ class LpNorm:
     weights: tuple              # strictly positive rationals
     kind = "lp"
 
-    @functools.cached_property
-    def unit_weights(self) -> bool:
-        return all(w == 1 for w in self.weights)
-
-    def weigh(self, x):
-        """(w_j x_j), x itself when every weight is 1."""
-        if self.unit_weights:
-            return x
-        return [w * v for w, v in zip(self.weights, x)]
-
 
 @dataclass(frozen=True)
 class HPolytope:
@@ -92,6 +83,28 @@ class NormedSpace:
         diag = validate_norm_spec(self.spec, self.dim)
         if not diag.passed:
             raise NormSpecError("; ".join(diag.issues))
+
+    @functools.cached_property
+    def scaled_norm(self):
+        """(f, s): the norm read off integers, decided once per space.  For
+        x a vector of integers over a positive denominator c, ||x / c|| =
+        f(x) / (s c), and for l2 the square, ||x / c||^2 = f(x) / (s c^2).
+        f(x) is an integer, except that a V-polytope gauge above _FACET_DIM
+        is an exact rational (one LP).  The rows, weights and facet normals
+        (from the cached enumeration) are scaled here once."""
+        spec = self.spec
+        if isinstance(spec, HPolytope):
+            rows, s = linalg.scaled_rows(spec.functionals)
+            return (lambda x: max(abs(sum(map(mul, r, x))) for r in rows)), s
+        if isinstance(spec, VPolytope):
+            return _gauge(spec, self.dim, _FACET_DIM, lambda: (
+                linalg.scaled_rows(_rows_vertices(spec.vertices, self.dim))))
+        w, s = linalg.scaled(spec.weights)
+        if spec.p == "2":
+            return (lambda x: sum(t * t for t in map(mul, w, x))), s * s
+        if spec.p == "1":
+            return (lambda x: sum(map(abs, map(mul, w, x)))), s
+        return (lambda x: max(map(abs, map(mul, w, x)), default=0)), s
 
 
 @dataclass(frozen=True)
@@ -268,18 +281,16 @@ def norm_eval(space: NormedSpace, x):
     if len(x) != space.dim:
         raise DimensionMismatch(
             f"vector length {len(x)} != dim {space.dim} of {space.label!r}")
-    x = linalg.vec(x)
-    spec = space.spec
-    if isinstance(spec, LpNorm):
-        if spec.p == "2":
-            return sqrt_approx(norm_eval_sq(space, x))
-        terms = map(abs, spec.weigh(x))
-        return sum(terms, ZERO) if spec.p == "1" else max(terms, default=ZERO)
-    if isinstance(spec, HPolytope):
-        return max(abs(linalg.dot(f, x)) for f in spec.functionals)
-    if isinstance(spec, VPolytope):
-        return _gauge(spec, space.dim, _FACET_DIM, _rows_vertices)(x)
-    raise NormSpecError(f"unknown spec {type(spec).__name__}")
+    if is_l2(space):
+        return sqrt_approx(norm_eval_sq(space, x))
+    return _scaled_eval(*space.scaled_norm, x)
+
+
+def _scaled_eval(f, s, x, power=1):
+    """The norm (f, s) of a scaled_norm at the rational vector x (its square
+    for power 2, as l2 gives it)."""
+    xs, c = linalg.scaled(linalg.vec(x))
+    return Q(f(xs), s * c ** power)
 
 
 def is_l2(space: NormedSpace) -> bool:
@@ -290,7 +301,7 @@ def is_l2(space: NormedSpace) -> bool:
 def norm_eval_sq(space: NormedSpace, x):
     """Exact square of the norm (rational for every spec, incl. l2)."""
     if is_l2(space) and len(x) == space.dim:
-        return sum((t * t for t in space.spec.weigh(linalg.vec(x))), ZERO)
+        return _scaled_eval(*space.scaled_norm, x, 2)
     n = norm_eval(space, x)     # raises DimensionMismatch on a bad length
     return n * n
 
@@ -395,13 +406,14 @@ def _rows_vertices(rows, dim):
     return _cached_ball(tuple(map(tuple, rows)), dim)[0]
 
 
-def _gauge(spec, dim, facet_dim, vertices_of):
-    """x -> gauge of the V-polytope ball conv(+-spec.vertices) at x: the
-    largest f.x over its facet normals f (the vertices of its polar, from
-    vertices_of) up to dimension facet_dim, one exact LP per x above it."""
+def _gauge(spec, dim, facet_dim, facets_of):
+    """The scaled_norm (f, s) of the gauge of the V-polytope ball
+    conv(+-spec.vertices): the largest r.x over its facet normals r (the
+    vertices of its polar, scaled rows from facets_of()) up to dimension
+    facet_dim, one exact LP per x above it."""
     if dim <= facet_dim:
-        facets = vertices_of(spec.vertices, dim)
-        return lambda x: max(linalg.dot(f, x) for f in facets)
+        rows, s = facets_of()
+        return (lambda x: max(sum(map(mul, r, x)) for r in rows)), s
     eye = linalg.identity(dim)
 
     def gauge_lp(x):
@@ -410,7 +422,7 @@ def _gauge(spec, dim, facet_dim, vertices_of):
             raise NormSpecError("gauge LP infeasible: corrupted VPolytope "
                                 "(vertices do not span)")
         return res[0]
-    return gauge_lp
+    return gauge_lp, 1
 
 
 def hull_gauge(generators, dim):
@@ -419,8 +431,10 @@ def hull_gauge(generators, dim):
     (they pay for themselves over a batch), one LP per point above it.  The
     facets are not cached, so a one-off ball evicts no reused one.  The
     generators must span."""
-    return _gauge(VPolytope(tuple(generators)), dim, _VERTEX_CAP,
-                  lambda rows, d: _symmetric_ball(rows, d)[0])
+    spec = VPolytope(tuple(generators))
+    f, s = _gauge(spec, dim, _VERTEX_CAP, lambda: linalg.scaled_rows(
+        _symmetric_ball(spec.vertices, dim)[0]))
+    return lambda x: _scaled_eval(f, s, x)
 
 
 def extreme_point_estimate(space: NormedSpace):
@@ -490,4 +504,4 @@ def spec_from_json(obj):
 def space_from_json(obj) -> NormedSpace:
     spec = spec_from_json(obj["spec"])
     return NormedSpace(require_int(obj["dim"], "space dim", 0), spec,
-                       obj.get("label", ""))
+                       require_type(obj.get("label", ""), str, "space label"))

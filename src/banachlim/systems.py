@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .scalar import Q, ZERO, format_scalar, parse_scalar, require_int
+from .scalar import (Q, ZERO, format_scalar, parse_scalar, require_int,
+                     require_type)
 from .linmap import (LinearMap, adjoint, is_quotient_map, lipschitz_verdict,
                      linear_map, min_norm_preimage)
 from .space import (NormedSpace, ball_extreme_points, dual_space, lp_space,
@@ -346,6 +347,14 @@ class SubspaceGenerator:
     def matrix(self, i):
         return self.matrices[i - 1]
 
+    @functools.cached_property
+    def scaled(self):
+        """(den, matrices): the stage matrices as integer rows over one
+        positive denominator den."""
+        rows, den = linalg.scaled_rows([r for m in self.matrices for r in m])
+        it = iter(rows)
+        return den, tuple(tuple(next(it) for _ in m) for m in self.matrices)
+
     def param_vector(self, a):
         """a as an exact parameter vector; ValueError unless it has
         param_dim entries (a matrix product would silently truncate it)."""
@@ -505,14 +514,15 @@ def system_from_json(obj):
         raise ValueError("system bonds must list len(spaces) - 1 matrices")
     if require_int(obj.get("stages", n), "system stages", 1) != n:
         raise ValueError("system stages must equal len(spaces)")
+    label = require_type(obj.get("label", ""), str, "system label")
     if obj.get("kind", "inverse") == "direct":
         bonds = [linear_map(spaces[i], spaces[i + 1], mats[i])
                  for i in range(n - 1)]
         return DirectSystem(lambda i: spaces[i - 1],
-                            lambda i: bonds[i - 1], n,
-                            obj.get("label", ""))
+                            lambda i: bonds[i - 1], n, label)
     bonds = [linear_map(spaces[i + 1], spaces[i], mats[i])
              for i in range(n - 1)]
     return InverseSystem(lambda i: spaces[i - 1], lambda i: bonds[i - 1], n,
-                         obj.get("label", ""),
-                         obj.get("is_quotient_system", False))
+                         label, require_type(obj.get("is_quotient_system",
+                                                     False), bool,
+                                             "is_quotient_system"))

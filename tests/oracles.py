@@ -11,9 +11,11 @@ import random
 
 from banachlim import linalg
 from banachlim import space as space_mod
-from banachlim.scalar import Q, ZERO, ONE, to_float
+from banachlim.determining import Counterexample
+from banachlim.scalar import Q, ZERO, ONE, sqrt_bracket, to_float
 from banachlim.simplex import LinearProgram, OPTIMAL
-from banachlim.space import norm_eval, norm_eval_sq
+from banachlim.space import (ball_extreme_points, dual_space, is_l2,
+                             norm_eval, norm_eval_sq)
 
 _FACET_DIM = space_mod._FACET_DIM         # the default, before any patch
 
@@ -380,3 +382,55 @@ def sequential_search_reference(q):
     return SearchReport("not-found", None, best_f,
                         rational_pair(best_x, q.search.max_den),
                         len(starts), evals)
+
+
+def _reference_bracket(space, x):
+    """Certified (lo, hi) of ||x|| in Fraction arithmetic: lp norms by
+    norm_eval's rational path, polytopes by dot products with the
+    functionals or with the vertices of the polar ball."""
+    if is_l2(space):
+        return sqrt_bracket(norm_eval_sq(space, x))
+    spec = space.spec
+    if spec.kind == "lp":
+        n = norm_eval(space, x)
+    elif spec.kind == "hpoly":
+        n = max(abs(linalg.dot(f, x)) for f in spec.functionals)
+    else:
+        n = max(linalg.dot(f, x)
+                for f in ball_extreme_points(dual_space(space)))
+    return n, n
+
+
+def verify_pair_reference(q, a, a_prime):
+    """determining.verify_pair in Fraction arithmetic, one mat_vec per
+    stage image, as it was before the integer kernel."""
+    gen, M, N = q.gen, q.eval_stage, q.rho.length
+    a = gen.param_vector(a)
+    ap = gen.param_vector(a_prime)
+    top = q.system.stage(M)
+    vs = [linalg.mat_vec(gen.matrix(M), x) for x in (a, ap)]
+    brs = [_reference_bracket(top, v) for v in vs]
+    if brs[0][1] == 0 or brs[1][1] == 0:
+        return None
+    tail_slacks = []
+    for i in range(1, N + 1):
+        rho_i = q.rho.values[i - 1]
+        row, ims = [], []
+        for x, v, (_, nhi) in zip((a, ap), vs, brs):
+            ims.append(v if i == M else linalg.mat_vec(gen.matrix(i), x))
+            slack = _reference_bracket(q.system.stage(i), ims[-1])[0] \
+                - (ONE - rho_i) * nhi
+            if slack <= 0:
+                return None
+            row.append(slack)
+        tail_slacks.append(tuple(row))
+    mx = (max(brs[0][0], brs[1][0]), max(brs[0][1], brs[1][1]))
+    d_n = _reference_bracket(q.system.stage(N), linalg.vec_sub(*ims))
+    prox = mx[0] / N - d_n[1]
+    if prox <= 0:
+        return None
+    d_m = _reference_bracket(top, linalg.vec_sub(*vs))
+    if d_m[0] < q.eps * mx[1]:
+        return None
+    return Counterexample(tuple(a), tuple(ap), tuple(vs[0]), tuple(vs[1]),
+                          tuple(tail_slacks), prox, d_m[0] / mx[1])

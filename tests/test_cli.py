@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -594,6 +598,26 @@ _BAD_INTS = {
 }
 
 
+def _square_map_from(label):
+    return dict(_SQUARE_MAP, source=dict(_SQUARE_MAP["source"], label=label))
+
+
+_INLINE_SYSTEM = {"spaces": [_L1_LINE, _L1_LINE], "bonds": [[["1"]]]}
+# Job fields of the wrong JSON type, or constants JSON does not have, that
+# were once echoed into reports or taken as truthy.
+_BAD_FIELDS = {
+    "infinity-label": ("opnorm", _square_map_from(float("inf"))),
+    "nan-entry": ("norms", {"system": {"builtin": "l1_drop", "stages": 1},
+                            "vectors": [[float("nan")]]}),
+    "list-label": ("opnorm", _square_map_from([1, 2])),
+    "number-system-label": ("dualize", dict(_INLINE_SYSTEM, label=7)),
+    "string-quotient-flag": ("validate", dict(_INLINE_SYSTEM,
+                                              is_quotient_system="no")),
+    "number-curve-label": ("curves", dict(json.loads(_CURVE_JOB), curve=dict(
+        json.loads(_CURVE_JOB)["curve"], label=5))),
+}
+
+
 @pytest.mark.parametrize("command, text, extra", [
     ("validate", None, []),                             # unreadable file
     ("validate", '{"builtin": "l1_drop",', []),         # malformed JSON
@@ -616,7 +640,8 @@ _BAD_INTS = {
     ("determine", json.dumps(_certify_job(dim_cap=4)), []),
     ("determine", json.dumps(dict(_certify_job(), search=[])), []),
 ] + [("validate", json.dumps(job), []) for job, _ in _BAD_SYSTEMS.values()]
-    + [(command, json.dumps(job), []) for command, job in _BAD_INTS.values()],
+    + [(command, json.dumps(job), [])
+       for command, job in (*_BAD_INTS.values(), *_BAD_FIELDS.values())],
     ids=["unreadable", "malformed-json", "zero-denominator", "top-level-list",
         "list-as-space", "unwritable-report", "unwritable-dual",
         "unwritable-csv", "search-without-start", "search-negative-starts",
@@ -624,7 +649,8 @@ _BAD_INTS = {
         "certify-negative-delta", "certify-negative-rounds",
         "certify-negative-budget", "certify-zero-dim-cap",
         "certify-string-dim-cap", "certify-dim-cap-field",
-        "search-not-an-object"] + list(_BAD_SYSTEMS) + list(_BAD_INTS))
+        "search-not-an-object"] + list(_BAD_SYSTEMS) + list(_BAD_INTS)
+    + list(_BAD_FIELDS))
 def test_bad_inputs_exit_three(tmp_path, capsys, command, text, extra):
     path = tmp_path / "job.json"
     if text is not None:
@@ -635,6 +661,36 @@ def test_bad_inputs_exit_three(tmp_path, capsys, command, text, extra):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constants_are_named(tmp_path, capsys, constant):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(_SQUARE_MAP).replace('"a"', constant))
+    assert main(["opnorm", str(path)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and constant in err
+
+
+def test_valid_labels_and_flags_are_kept(tmp_path, capsys):
+    code, out = _run(capsys, "opnorm", _write(tmp_path, "map.json",
+                                              _square_map_from("s")))
+    assert code == 0 and json.loads(out)["source"] == "s"
+    job = dict(_INLINE_SYSTEM, label="line", is_quotient_system=True)
+    code, out = _run(capsys, "dualize", _write(tmp_path, "sys.json", job))
+    assert code == 0 and json.loads(out)["dual"]["label"] == "line*"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    job = _write(tmp_path, "sys.json", {"builtin": "l1_drop", "stages": 2})
+    runs = [subprocess.run([sys.executable, "-m", "banachlim"] + argv,
+                           env=env, capture_output=True, text=True,
+                           timeout=120)
+            for argv in (["validate", job], ["validate", job + ".missing"])]
+    assert [r.returncode for r in runs] == [0, EXIT_BAD_INPUT]
+    assert json.loads(runs[0].stdout)["passed"] is True
 
 
 @pytest.mark.parametrize("job, key", _BAD_SYSTEMS.values(),

@@ -4,9 +4,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from banachlim import determining, linalg
-from banachlim.scalar import Q, ZERO, ONE
+from banachlim.scalar import Q, RAT, ZERO, ONE
 from banachlim.space import hpoly_space, lp_space, norm_eval, vpoly_space
 from banachlim.linmap import linear_map
 from banachlim.systems import (InverseSystem, SubspaceGenerator,
@@ -24,7 +25,7 @@ from banachlim.determining import (CertifyConfig, DeterminingQuery,
 
 from oracles import (count_lp_solves, lower_enumeration_caps,
                      min_norm_on_cube_sphere, random_spanning_vectors,
-                     sequential_search_reference)
+                     sequential_search_reference, verify_pair_reference)
 
 HALF = Q(1, 2)
 
@@ -174,6 +175,123 @@ def test_verify_pair_on_l2_stages():
     assert verify_pair(q, (ONE, -ONE), (ZERO, ONE)) is None
     # A zero stage-M image has no norm to compare against.
     assert verify_pair(q, (ZERO, ZERO), (ZERO, ONE)) is None
+
+
+def _rationals(rng, n, den):
+    """n rationals with denominators up to den (the search rationalizes
+    its iterates to 10**6), zero entries included."""
+    return tuple(Q(rng.randint(-3 * den, 3 * den) if rng.random() < 0.8
+                   else 0, rng.randint(1, den)) for _ in range(n))
+
+
+def _stage_space(rng, kind, dim):
+    if kind in ("hpoly", "vpoly"):
+        rows = [[ONE if j == i else ZERO for j in range(dim)]
+                for i in range(dim)] + [
+            [Q(rng.randint(-3, 3), 2) for _ in range(dim)]
+            for _ in range(rng.randint(0, 2))]
+        return (hpoly_space if kind == "hpoly" else vpoly_space)(rows)
+    p, weighted = kind.split("-")
+    weights = ([Q(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(dim)]
+               if weighted == "w" else None)
+    return lp_space(p, dim=dim, weights=weights)
+
+
+def _oracle_query(rng, kind, dense):
+    """A query on coordinate-drop or dense bonds.  Its last generator
+    column mostly vanishes through stage N when the bonds allow it, so a
+    pair (a, a + t e_last) often violates."""
+    M, d = rng.randint(2, 4), rng.randint(1, 3)
+    N = rng.randint(1, M)
+    dims = (sorted(rng.randint(1, 3) for _ in range(M)) if dense
+            else list(range(1, M + 1)))
+    spaces = [_stage_space(rng, kind, n) for n in dims]
+    bonds = [linear_map(spaces[i], spaces[i - 1], [
+        [Q(rng.randint(-2, 2)) if dense else Q(int(j == k))
+         for j in range(dims[i])] for k in range(dims[i - 1])])
+        for i in range(1, M)]
+    system = InverseSystem(lambda i: spaces[i - 1], lambda i: bonds[i - 1], M)
+    tail = [list(_rationals(rng, d, 4)) for _ in range(dims[-1])]
+    to_n = linalg.identity(dims[-1])
+    for i in range(M - 1, N - 1, -1):
+        to_n = bonds[i - 1].mat_mul(to_n)
+    kernel = linalg.nullspace(to_n)
+    if kernel and rng.random() < 0.75:
+        for row, k in zip(tail, kernel[0]):
+            row[-1] = k
+    rho = sorted((rng.choice([ONE, ONE, HALF, Q(1, 10)]) for _ in range(N)),
+                 reverse=True)
+    eps = rng.choice([Q(1, 100), Q(1, 10), Q(1, 4), Q(2)])
+    return DeterminingQuery(system, generator_from_tail(system, tail),
+                            RhoSchedule(rho), eps, M)
+
+
+def _assert_rational_fields(cx):
+    for vec in (cx.a, cx.a_prime, cx.v, cx.v_prime) + cx.tail_slacks:
+        assert type(vec) is tuple and all(type(x) is RAT for x in vec)
+    assert type(cx.proximity_slack) is RAT and type(cx.violation) is RAT
+
+
+def _check_against_reference(q, a, b):
+    got, want = verify_pair(q, a, b), verify_pair_reference(q, a, b)
+    assert got == want
+    if got is None:
+        return
+    _assert_rational_fields(got)
+    # Ties: eps at the exact violation still counts.
+    at = DeterminingQuery(q.system, q.gen, q.rho, want.violation,
+                          q.eval_stage)
+    assert verify_pair(at, a, b) == verify_pair_reference(at, a, b) == want
+    # A rho that makes the first tail slack of a exactly 0 fails.
+    top, first = (q.system.stage(i) for i in (q.eval_stage, 1))
+    va = q.gen.member(a).stages
+    if not determining.is_l2(top) and not determining.is_l2(first):
+        ratio = norm_eval(first, va[0]) / norm_eval(top, va[-1])
+        if 0 <= ratio < 1:
+            tie = DeterminingQuery(q.system, q.gen, RhoSchedule((1 - ratio,)),
+                                   q.eps, q.eval_stage)
+            assert verify_pair(tie, a, b) is None
+            assert verify_pair_reference(tie, a, b) is None
+
+
+_STAGE_KINDS = ["1-u", "1-w", "inf-u", "inf-w", "2-u", "2-w", "hpoly",
+                "vpoly"]
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32))
+def test_verify_pair_matches_the_fraction_reference(seed):
+    # Every stage kind on coordinate and dense bonds; each pair has zero,
+    # small-denominator or 10**6-denominator entries, and is a random pair
+    # or a step along the last generator column.
+    rng = random.Random(seed)
+    for kind in _STAGE_KINDS:
+        for dense in (False, True):
+            q = _oracle_query(rng, kind, dense)
+            for _ in range(4):
+                den = rng.choice([1, 10**3, 10**6])
+                a = _rationals(rng, q.gen.param_dim, den)
+                b = (a[:-1] + (a[-1] + _rationals(rng, 1, den)[0],)
+                     if rng.random() < 0.75
+                     else _rationals(rng, q.gen.param_dim, den))
+                _check_against_reference(q, a, b)
+
+
+def test_verify_pair_hits_are_rational_on_every_stage_kind():
+    # The prefix pair on l1, linf and l2 drop systems, and on the rescaled
+    # V-polytope presentation of the polytopal two.
+    for drop_system in (l1_drop_system, linf_drop_system, l2_drop_system):
+        sys_ = drop_system(4)
+        gen = generator_from_tail(sys_, [[ONE, ONE], [ONE, ONE],
+                                         [ZERO, ONE], [ZERO, ONE]])
+        pairs = [(sys_, gen)] + ([] if drop_system is l2_drop_system else
+                                 [rescaled_image_presentation(sys_, gen)])
+        for system, g in pairs:
+            q = DeterminingQuery(system, g, RhoSchedule((ONE, ONE)),
+                                 Q(1, 4), 4)
+            cx = verify_pair(q, (ONE, ZERO), (ZERO, ONE))
+            assert cx == verify_pair_reference(q, (ONE, ZERO), (ZERO, ONE))
+            _assert_rational_fields(cx)
 
 
 # ---------------------------------------------------------------------------
