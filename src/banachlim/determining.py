@@ -29,7 +29,7 @@ from operator import mul
 import numpy as np
 
 from . import linalg
-from .linmap import is_quotient_map, linear_map
+from .linmap import is_quotient_map, linear_map, operator_norm
 from .scalar import (ONE, Q, ZERO, rationalize, require_int, sqrt_bracket,
                      to_float)
 from .space import (NormedSpace, ball_extreme_points, ball_form, dual_space,
@@ -154,20 +154,21 @@ class Counterexample:
     violation: object
 
 
-def verify_pair(q: DeterminingQuery, a, a_prime):
+def verify_pair(q: DeterminingQuery, a, a_prime, dens=None):
     """Exact re-check of a candidate pair against the strict constraints
     and the separation threshold (stage-M operative norm).  The check is
     scale invariant, so no normalization of (a, a') is required.  Ties
-    count as failures; returns a Counterexample or None.
+    count as failures; returns a Counterexample or None.  With dens =
+    (c, c'), a and a_prime are integer vectors over positive c and c'.
 
     The stage images are integer vectors over one denominator c (the
     generator's scaled matrices times the scaled pair), and norms and
     slacks (numerator, denominator) pairs; rationals are built only for
     the Counterexample."""
     M, N = q.eval_stage, q.rho.length
-    a, ap = q.gen.param_vector(a), q.gen.param_vector(a_prime)
+    (x, cx), (y, cy) = (zip((a, a_prime), dens) if dens else (
+        linalg.scaled(q.gen.param_vector(v)) for v in (a, a_prime)))
     den, mats = q.gen.scaled
-    (x, cx), (y, cy) = linalg.scaled(a), linalg.scaled(ap)
     c, zs = den * cx * cy, ([t * cy for t in x], [t * cx for t in y])
 
     def images(i):
@@ -200,8 +201,8 @@ def verify_pair(q: DeterminingQuery, a, a_prime):
     en, ed = q.eps.numerator, q.eps.denominator
     if ln * ed * mhd < en * mhn * ld:
         return None
-    return Counterexample(a, ap, linalg.unscale(vs[0], c),
-                          linalg.unscale(vs[1], c),
+    return Counterexample(linalg.unscale(x, cx), linalg.unscale(y, cy),
+                          linalg.unscale(vs[0], c), linalg.unscale(vs[1], c),
                           tuple(tuple(Q(*p) for p in row)
                                 for row in tail_slacks),
                           Q(*prox), Q(ln * mhd, ld * mhn))
@@ -210,39 +211,61 @@ def verify_pair(q: DeterminingQuery, a, a_prime):
 # ---------------------------------------------------------------------------
 # Fast float evaluation
 
-def _float_norm_fn(space: NormedSpace):
-    spec = space.spec
-    if spec.kind == "lp":
-        w = np.array([to_float(x) for x in spec.weights])
-        if spec.p == "1":
-            return lambda Y: np.abs(Y * w).sum(axis=-1)
-        if spec.p == "inf":
-            return lambda Y: np.abs(Y * w).max(axis=-1)
-        return lambda Y: np.sqrt(((Y * w) ** 2).sum(axis=-1))
-    rows = (spec.functionals if spec.kind == "hpoly"
-            else ball_extreme_points(dual_space(space)))
-    A = np.array([[to_float(c) for c in row] for row in rows]).T
-    # One matrix-vector product per row: a batch gives each row the float
-    # value it gets alone (a matrix product may round differently).
-    return lambda Y: np.abs(np.matmul(Y[..., None, :], A)).max(axis=(-2, -1))
+class _FloatNorms:
+    """Float norms of stacked vectors: the last axis of Y holds one vector
+    per space, in order, and the call returns their norms along it, each
+    the value it gets alone: a max is exact, and sums and the polytope
+    products (row-wise: a matrix product may round differently) run on
+    the space's own slice."""
+
+    def __init__(self, spaces):
+        dims = [S.dim for S in spaces]
+        self.starts = np.cumsum([0] + dims[:-1])
+        self.w, self.rest = np.ones(sum(dims)), []
+        for k, (S, lo) in enumerate(zip(spaces, self.starts)):
+            spec, cols = S.spec, slice(lo, lo + S.dim)
+            if spec.kind == "lp":
+                self.w[cols] = [to_float(x) for x in spec.weights]
+                if spec.p != "inf":
+                    self.rest.append((k, cols, spec.p, None))
+                continue
+            rows = (spec.functionals if spec.kind == "hpoly"
+                    else ball_extreme_points(dual_space(S)))
+            self.rest.append((k, cols, None, np.array(
+                [[to_float(c) for c in row] for row in rows]).T))
+
+    def __call__(self, Y):
+        W = np.abs(Y * self.w)
+        S = np.maximum.reduceat(W, self.starts, axis=-1)
+        for k, cols, p, A in self.rest:
+            S[..., k] = (W[..., cols].sum(axis=-1) if p == "1" else
+                         np.sqrt((W[..., cols] ** 2).sum(axis=-1)) if p else
+                         np.abs(np.matmul(Y[..., None, cols], A)).max(
+                             axis=(-2, -1)))
+        return S
 
 
 class _FloatQuery:
-    """Float shadow of a query: stage matrices and norm evaluators for
-    stages 1..N and M, plus the normalized violation margins of pairs."""
+    """Float shadow of a query: the matrices of stages 1..N and M, stacked
+    in that order (M once; stage i at the columns cols[i]), norms of the
+    stacked images and of each stage, and the margins of pairs."""
 
     def __init__(self, q: DeterminingQuery):
-        self.N = q.rho.length
-        self.M = q.eval_stage
-        self.d = q.gen.param_dim
+        self.N, self.M, self.d = q.rho.length, q.eval_stage, q.gen.param_dim
         self.rho = [to_float(r) for r in q.rho.values]
-        self.eps = to_float(q.eps)
+        self.slack, self.eps = 1 - np.array(self.rho), to_float(q.eps)
         self.stages = list(range(1, self.N + 1)) + [self.M]
         self.G = {i: np.array([[to_float(c) for c in row]
                                for row in q.gen.matrix(i)])
                   for i in self.stages}
-        self.norm = {i: _float_norm_fn(q.system.stage(i))
-                     for i in self.stages}
+        self.norms = _FloatNorms([q.system.stage(i) for i in self.G])
+        self.norm = {i: lambda Y, f=_FloatNorms([q.system.stage(i)]):
+                     f(Y)[..., 0] for i in self.G}
+        self.cols = {i: slice(lo, lo + len(G)) for lo, (i, G) in zip(
+            self.norms.starts, self.G.items())}
+        self.stacked = np.concatenate(list(self.G.values()))
+        self.dots = [(c, self.G[i]) for i, c in self.cols.items()
+                     if c.stop - c.start == 1]
 
     def margins(self, A, B):
         """Margins of the pairs (A[r], B[r]), one per row: the min of all
@@ -251,16 +274,18 @@ class _FloatQuery:
         the value it gets alone (rounding commutes with the min)."""
         n = len(A)
         X = np.concatenate([A, B])[:, :, None]
-        # Row-wise matrix-vector products, as in _float_norm_fn.
-        V = {i: np.matmul(self.G[i], X)[:, :, 0] for i in self.stages}
-        nu = self.norm[self.M](V[self.M])
+        # Row-wise matrix-vector products; a one-row stage keeps its own
+        # (numpy's dot path there rounds unlike a row of a longer product).
+        V = np.matmul(self.stacked, X)[:, :, 0]
+        for c, g in self.dots:
+            V[:, c] = np.matmul(g, X)[:, :, 0]
+        # Stage norms of the images, then of the pairs' differences.
+        S = self.norms(np.concatenate([V, V[:n] - V[n:]]))
+        nu = S[:2 * n, -1]
         s = np.maximum(nu[:n], nu[n:])
-        low = np.full(2 * n, np.inf)
-        for i in range(1, self.N + 1):
-            low = np.minimum(low, self.norm[i](V[i])
-                             - (1 - self.rho[i - 1]) * nu)
-        prox = s / self.N - self.norm[self.N](V[self.N][:n] - V[self.N][n:])
-        sep = self.norm[self.M](V[self.M][:n] - V[self.M][n:]) - self.eps * s
+        low = (S[:2 * n, :self.N] - self.slack * nu[:, None]).min(axis=1)
+        prox = s / self.N - S[2 * n:, self.N - 1]
+        sep = S[2 * n:, -1] - self.eps * s
         top = np.minimum(np.minimum(low[:n], low[n:]), np.minimum(prox, sep))
         return np.divide(top, s, out=np.full(n, -1.0), where=s >= 1e-12)
 
@@ -432,9 +457,9 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
     (a, t*u) with a, u on the unit sphere of the pulled-back parameter
     norm and t in [0, 1].  The per-vector tail constraints are themselves
     scale invariant, so they enter as t-independent direction slacks; the
-    proximity and separation terms are 1-Lipschitz in (a, u, t).  Spheres
-    are covered by radially projected cube-face grids, and a conservative
-    Lipschitz constant converts the grid step into an exclusion margin
+    proximity and separation terms are Lipschitz in (a, u, t).  Spheres
+    are covered by radially projected cube-face grids; the exact constants
+    L_i = max(1, ||G_i : nu -> W_i||) turn the grid step into a margin
     tau: all grid margins <= -tau certify absence of a violating pair.
     Grid points straddling (-tau, 0] are refined locally; refinement
     either clears them, produces an exactly verified Counterexample, or
@@ -457,32 +482,31 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
     c_max, c_min = _cube_constants(nu)
     l_rad = 2 * c_max / c_min          # radial projection, cube -> nu sphere
     fq = _FloatQuery(q)
+    # ||G_i a||_i <= L_i nu(a); stage M is nu itself (L = 1).
+    L = [max(ONE, operator_norm(linear_map(nu, q.system.stage(i), G)).upper)
+         for i, G in enumerate(q.gen.matrices[:fq.N], 1)]
 
     f_nu, s_nu = nu.scaled_norm
 
     @functools.cache
     def proj(x):
         # x / nu(x) = x s_nu / f_nu(x), as D cancels (an LP gauge is a
-        # rational g); int / int is the correctly rounded float (for mpz
-        # integers too), as to_float gives.
+        # rational g): integers over g's numerator.  int / int is the
+        # correctly rounded float (for mpz integers too), as to_float gives.
         g = f_nu(x)
-        e = [c * s_nu * g.denominator for c in x]
-        return (linalg.unscale(e, g.numerator),
-                [int(c) / int(g.numerator) for c in e])
+        e = tuple(c * s_nu * g.denominator for c in x)
+        return (e, g.numerator), [int(c) / int(g.numerator) for c in e]
 
     def sphere(points, tau_s):
         """Project (face, cube point) nodes to the nu sphere; keep those
         whose float tail slack exceeds -tau_s.  Returns the kept indices and
-        their exact projections, stage-N and -M float images and slacks."""
+        their exact projections, stacked float images and slacks."""
         E = [proj(p) for _, p in points]
         X = np.array([f for _, f in E])
-        V = {i: X @ fq.G[i].T for i in fq.stages}
-        slack = np.full(len(points), np.inf)
-        for i in range(1, fq.N + 1):
-            slack = np.minimum(slack, fq.norm[i](V[i]) - (1 - fq.rho[i - 1]))
+        V = np.concatenate([X @ G.T for G in fq.G.values()], axis=1)
+        slack = (fq.norms(V)[:, :fq.N] - fq.slack).min(axis=1)
         keep = np.flatnonzero(slack > -tau_s)
-        return (keep, [E[k][0] for k in keep],
-                {i: V[i][keep] for i in (fq.N, fq.M)}, slack[keep])
+        return keep, [E[k][0] for k in keep], V[keep], slack[keep]
 
     def pair_terms(Va, Vu, ts, tau_p):
         """Over the (a, u, t) grid of the images Va, Vu and the levels ts:
@@ -490,26 +514,27 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
         T = np.array([int(t) / int(Dt) for t in ts])
 
         def dist(i):
-            return fq.norm[i](Va[i][:, None, None, :]
-                              - T[:, None] * Vu[i][None, :, None, :])
+            c = fq.cols[i]
+            return fq.norm[i](Va[:, None, None, c]
+                              - T[:, None] * Vu[None, :, None, c])
         prox, sep = 1 / fq.N - dist(fq.N), dist(fq.M) - fq.eps
         return (prox > -tau_p) & (sep > -tau_p), np.minimum(prox, sep)
 
     # Per-term exclusion margins at steps h / D, ht / Dt (one pair per
-    # level): the tail slack of a sphere point is 1-Lipschitz on the sphere
-    # (covering radius l_rad*h/2); the pair terms are 1-Lipschitz in
-    # (a, u, t) with summed covering radii.
+    # level): the covering radius of a sphere point is l_rad*h/2 in nu, so
+    # its tail slack moves by at most max(L) times that; the pair terms
+    # are L_N-Lipschitz in (a, u, t) with summed covering radii.
     @functools.cache
     def margins(h, ht):
         h, ht = Q(h, D), Q(ht, Dt)
-        return (to_float(l_rad * h / 2) + 1e-9,
-                to_float(l_rad * h + ht / 2) + 1e-9)
+        return (to_float(max(L) * l_rad * h / 2) + 1e-9,
+                to_float(L[-1] * (l_rad * h + ht / 2)) + 1e-9)
 
     def try_verify(a_pt, u_pt, t):
         nonlocal work
         work += _VERIFY_COST
-        t = Q(t or 1, Dt)       # t = 0 is read as the least level
-        return verify_pair(q, a_pt, tuple(t * c for c in u_pt))
+        (x, cx), (y, cy), t = a_pt, u_pt, t or 1    # t = 0: least level
+        return verify_pair(q, x, tuple(t * c for c in y), (cx, Dt * cy))
 
     def refine(a, u, t, h, ht, depth):
         """Cover the cube cells around a suspect triple at step h/4 (h, ht
@@ -544,13 +569,13 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
                 if sub[0] != "ok":
                     return sub
             else:
-                worst = (Ea[ia], Eu[iu], Q(ts[it], Dt),
-                         float(g[ia, iu, it]))
+                worst = (linalg.unscale(*Ea[ia]), linalg.unscale(*Eu[iu]),
+                         Q(ts[it], Dt), float(g[ia, iu, it]))
         return ("ok", None) if worst is None else ("undecided", worst)
 
     def report(kind, statement, **kw):
         return CertifyReport(kind, statement, q.eval_stage, q.eps, h0,
-                             l_rad * Q(2, n) + Q(1, 2 * n_lev),
+                             L[-1] * (l_rad * Q(2, n) + Q(1, 2 * n_lev)),
                              points_checked=checked, refinements=refinements,
                              **kw)
 
@@ -578,8 +603,7 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
     # a-node at a time (small arrays), then stably sorted by -g.
     suspects = []
     for ia in range(len(ka)):
-        ok, g = pair_terms({i: V[ia:ia + 1] for i, V in Va.items()}, Vu,
-                           t_vals, tau_p0)
+        ok, g = pair_terms(Va[ia:ia + 1], Vu, t_vals, tau_p0)
         g = np.minimum(g[0], np.minimum(slack_a[ia], slack_u)[:, None])
         iu, it = np.nonzero(ok[0])
         suspects += zip(g[iu, it].tolist(), itertools.repeat(ia),

@@ -80,7 +80,8 @@ def format_scalar(q) -> str:
 
 
 def to_float(q) -> float:
-    return float(Fraction(int(Q(q).numerator), int(Q(q).denominator)))
+    # int / int is correctly rounded: the float of the exact value.
+    return int(Q(q).numerator) / int(Q(q).denominator)
 
 
 def from_float(x: float):

@@ -278,16 +278,12 @@ def greedy_cluster_reference(seq, eps):
     return sorted(idxs)
 
 
-def sequential_search_reference(q):
-    """eps_determining_search as a plain sequential loop: each start runs its
-    pattern search to the end before the next begins, every pair is scored
-    alone, and each of the (up to ten) best candidates is rationalized and
-    re-verified with verify_pair at both denominators."""
-    import math
+def float_margin_fn(q):
+    """The search's float margin of one pair (a, b), computed alone: every
+    stage image a plain matrix-vector product, every norm a 1-D numpy
+    reduction, and every constraint term scaled by max(nu(a), nu(b))
+    before the min; -1.0 when that scale is below 1e-12."""
     import numpy as np
-    from banachlim.determining import SearchReport, verify_pair
-    from banachlim.scalar import rationalize
-    from banachlim.space import ball_extreme_points, dual_space
 
     def float_norm(space):
         spec = space.spec
@@ -301,7 +297,7 @@ def sequential_search_reference(q):
                 "inf": lambda y: np.abs(y * w).max(),
                 "2": lambda y: np.sqrt(((y * w) ** 2).sum())}[spec.p]
 
-    N, M, d = q.rho.length, q.eval_stage, q.gen.param_dim
+    N, M = q.rho.length, q.eval_stage
     rho = [to_float(r) for r in q.rho.values]
     eps = to_float(q.eps)
     stages = list(range(1, N + 1)) + [M]
@@ -324,6 +320,20 @@ def sequential_search_reference(q):
         terms.append((s / N - float(norm[N](va[N] - vb[N]))) / s)
         terms.append((float(norm[M](va[M] - vb[M])) - eps * s) / s)
         return min(terms)
+    return margin
+
+
+def sequential_search_reference(q):
+    """eps_determining_search as a plain sequential loop: each start runs its
+    pattern search to the end before the next begins, every pair is scored
+    alone (float_margin_fn), and each of the (up to ten) best candidates is
+    rationalized and re-verified with verify_pair at both denominators."""
+    import numpy as np
+    from banachlim.determining import SearchReport, verify_pair
+    from banachlim.scalar import rationalize
+
+    d = q.gen.param_dim
+    margin = float_margin_fn(q)
 
     rng = random.Random(q.search.seed)
     starts = []

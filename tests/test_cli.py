@@ -413,6 +413,97 @@ def test_report_text_is_pinned(tmp_path, capsys, command, job, extra, code,
     assert json.dumps(report, sort_keys=True, separators=(",", ":")) == text
 
 
+# The search reports of the prefix jobs at depths the determine benchmark
+# runs, best_margin and evaluations to the bit.
+@pytest.mark.parametrize("n, text", [
+    (7,
+     '{"eps":"1/3","eval_stage":14,"mode":"search","rho":["1/2","1/2","1'
+     '/2","1/2","1/2","1/2","1/2"],"search":{"best_margin":0.14285714285'
+     '714285,"counterexample":{"a":["1","0"],"a_prime":["0","1"],"proxim'
+     'ity_slack":{"exact":"1/7","float":0.14285714285714285},"tail_slack'
+     's":[[{"exact":"1/2","float":0.5},{"exact":"1/2","float":0.5}],[{"e'
+     'xact":"1/2","float":0.5},{"exact":"1/2","float":0.5}],[{"exact":"1'
+     '/2","float":0.5},{"exact":"1/2","float":0.5}],[{"exact":"1/2","flo'
+     'at":0.5},{"exact":"1/2","float":0.5}],[{"exact":"1/2","float":0.5}'
+     ',{"exact":"1/2","float":0.5}],[{"exact":"1/2","float":0.5},{"exact'
+     '":"1/2","float":0.5}],[{"exact":"1/2","float":0.5},{"exact":"1/2",'
+     '"float":0.5}]],"v":["1","1","1","1","1","1","1","0","0","0","0","0'
+     '","0","0"],"v_prime":["1","1","1","1","1","1","1","1","1","1","1",'
+     '"1","1","1"],"violation":{"exact":"1","float":1.0}},"evaluations":'
+     '4060,"kind":"counterexample"}}'),
+    (10,
+     '{"eps":"1/3","eval_stage":20,"mode":"search","rho":["1/2","1/2","1'
+     '/2","1/2","1/2","1/2","1/2","1/2","1/2","1/2"],"search":{"best_mar'
+     'gin":0.099995726235981,"counterexample":{"a":["1","-359103/848917"'
+     '],"a_prime":["-158448/488827","247386/274531"],"proximity_slack":{'
+     '"exact":"51327129671954587/569615518768033145","float":0.090108376'
+     '58174257},"tail_slacks":[[{"exact":"244907/848917","float":0.28849'
+     '34569575118},{"exact":"16965590223/134198165137","float":0.1264219'
+     '2391885684}],[{"exact":"244907/848917","float":0.2884934569575118}'
+     ',{"exact":"16965590223/134198165137","float":0.12642192391885684}]'
+     ',[{"exact":"244907/848917","float":0.2884934569575118},{"exact":"1'
+     '6965590223/134198165137","float":0.12642192391885684}],[{"exact":"'
+     '244907/848917","float":0.2884934569575118},{"exact":"16965590223/1'
+     '34198165137","float":0.12642192391885684}],[{"exact":"244907/84891'
+     '7","float":0.2884934569575118},{"exact":"16965590223/134198165137"'
+     ',"float":0.12642192391885684}],[{"exact":"244907/848917","float":0'
+     '.2884934569575118},{"exact":"16965590223/134198165137","float":0.1'
+     '2642192391885684}],[{"exact":"244907/848917","float":0.28849345695'
+     '75118},{"exact":"16965590223/134198165137","float":0.1264219239188'
+     '5684}],[{"exact":"244907/848917","float":0.2884934569575118},{"exa'
+     'ct":"16965590223/134198165137","float":0.12642192391885684}],[{"ex'
+     'act":"244907/848917","float":0.2884934569575118},{"exact":"1696559'
+     '0223/134198165137","float":0.12642192391885684}],[{"exact":"244907'
+     '/848917","float":0.2884934569575118},{"exact":"16965590223/1341981'
+     '65137","float":0.12642192391885684}]],"v":["489814/848917","489814'
+     '/848917","489814/848917","489814/848917","489814/848917","489814/8'
+     '48917","489814/848917","489814/848917","489814/848917","489814/848'
+     '917","-359103/848917","-359103/848917","-359103/848917","-359103/8'
+     '48917","-359103/848917","-359103/848917","-359103/848917","-359103'
+     '/848917","-359103/848917","-359103/848917"],"v_prime":["7743006833'
+     '4/134198165137","77430068334/134198165137","77430068334/1341981651'
+     '37","77430068334/134198165137","77430068334/134198165137","7743006'
+     '8334/134198165137","77430068334/134198165137","77430068334/1341981'
+     '65137","77430068334/134198165137","77430068334/134198165137","2473'
+     '86/274531","247386/274531","247386/274531","247386/274531","247386'
+     '/274531","247386/274531","247386/274531","247386/274531","247386/2'
+     '74531","247386/274531"],"violation":{"exact":"102865028885/7000339'
+     '3654","float":1.469429173582962}},"evaluations":3860,"kind":"count'
+     'erexample"}}'),
+], ids=["prefix-7", "prefix-10"])
+def test_search_report_text_is_pinned(tmp_path, capsys, n, text):
+    job = {"canonical": "prefix_obstruction", "n": n, "eps": "1/3",
+           "mode": "search"}
+    assert main(["determine", _write(tmp_path, "job.json", job),
+                 "--seed", "5"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    del report["manifest"]
+    assert json.dumps(report, sort_keys=True, separators=(",", ":")) == text
+
+
+def test_unchecked_bond_norms_enter_the_certify_margins(tmp_path, capsys):
+    # A stage map with ||G_1 : nu -> W_1|| far above 1: a margin that takes
+    # every stage map as 1-Lipschitz from nu certifies this job, while the
+    # search finds an exactly verified violating pair.
+    # The bond is [[10^6, -10^6 phi]], phi = 1543904/1000565.
+    job = {"system": {"spaces": [
+        {"dim": 1, "label": "a", "spec": {"kind": "lp", "p": "1",
+                                         "weights": ["1"]}},
+        {"dim": 2, "label": "b", "spec": {"kind": "lp", "p": "1",
+                                         "weights": ["1", "1"]}}],
+        "bonds": [[["1000000", "-1543904000000/1000565"]]]},
+        "generator": {"tail": [["1", "0"], ["0", "1"]]},
+        "rho": ["1/2"], "eps": "2/5", "eval_stage": 2}
+    code, out = _run(capsys, "determine", _write(tmp_path, "c.json", job))
+    assert code in (1, 2)
+    assert json.loads(out)["certify"]["kind"] in ("counterexample",
+                                                  "undecided")
+    code, out = _run(capsys, "determine", _write(tmp_path, "s.json", {
+        **job, "mode": "search"}))
+    assert code == 1
+    assert json.loads(out)["search"]["kind"] == "counterexample"
+
+
 def test_max_stage_truncates_loaded_systems(tmp_path, capsys):
     quotient = _write(tmp_path, "q.json",
                       {"builtin": "random_quotient", "stages": 5, "seed": 3})

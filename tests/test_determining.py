@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from banachlim.determining import (CertifyConfig, DeterminingQuery,
                                    parameter_space, prefix_obstruction_query,
                                    rescaled_image_presentation, verify_pair)
 
-from oracles import (count_lp_solves, lower_enumeration_caps,
+from oracles import (count_lp_solves, float_margin_fn, lower_enumeration_caps,
                      min_norm_on_cube_sphere, random_spanning_vectors,
                      sequential_search_reference, verify_pair_reference)
 
@@ -294,6 +295,27 @@ def test_verify_pair_hits_are_rational_on_every_stage_kind():
             _assert_rational_fields(cx)
 
 
+def test_verify_pair_takes_integers_over_denominators():
+    # The certify sweep's entry: integer vectors over their own (not
+    # necessarily least) denominators give what the rationals they stand
+    # for give, Counterexample fields and all.
+    rng, hits = random.Random(4), 0
+    for drop_system in (l1_drop_system, linf_drop_system, l2_drop_system):
+        sys_ = drop_system(4)
+        gen = generator_from_tail(sys_, [[ONE, ONE], [ONE, ONE],
+                                         [ZERO, ONE], [ZERO, ONE]])
+        q = DeterminingQuery(sys_, gen, RhoSchedule((ONE, ONE)), Q(1, 4), 4)
+        for _ in range(20):
+            cx, cy = rng.randint(5, 40), rng.randint(5, 40)
+            x = (cx + rng.randint(-9, 9), rng.randint(-9, 9))
+            y = (rng.randint(-9, 9), rng.randint(-9, 9))
+            ce = verify_pair(q, x, y, (cx, cy))
+            assert ce == verify_pair(q, linalg.unscale(x, cx),
+                                     linalg.unscale(y, cy))
+            hits += ce is not None
+    assert 0 < hits < 60
+
+
 # ---------------------------------------------------------------------------
 # Parameter-space pullback
 
@@ -428,6 +450,85 @@ def test_search_matches_the_sequential_reference(monkeypatch):
         assert rep == sequential_search_reference(q), n
         kinds.add(rep.kind)
     assert n >= 150 and kinds == {"counterexample", "not-found"}
+
+
+_STAGE_KINDS = ("l1", "linf", "l2", "wl1", "wlinf", "wl2", "hpoly", "vpoly")
+
+
+def _stage_space(rng, kind, dim):
+    if kind.lstrip("w") in ("l1", "linf", "l2"):
+        p = {"l1": 1, "linf": "inf", "l2": 2}[kind.lstrip("w")]
+        return lp_space(p, dim=dim) if kind[0] != "w" else lp_space(
+            p, weights=[Q(rng.randint(1, 97), rng.randint(1, 89))
+                        for _ in range(dim)])
+    build = hpoly_space if kind == "hpoly" else vpoly_space
+    return build(random_spanning_vectors(rng, dim, dim + rng.randint(0, 2)))
+
+
+def _mixed_query(rng, d, kinds, search=SearchConfig()):
+    """A query on stages of the given kinds (one-row stages among them),
+    with random bonds and top matrix of non-dyadic rationals, the top
+    matrix scaled by 10^k, k in -3..3.  Nothing checks the bonds."""
+    M = len(kinds)
+    dims = [rng.choice((1, 2, 3, 4)) for _ in kinds]
+    spaces = [_stage_space(rng, k, n) for k, n in zip(kinds, dims)]
+
+    def rat(scale=1):
+        return Q(rng.randint(-999, 999), rng.randint(1, 997)) * scale
+    bonds = [linear_map(spaces[j + 1], spaces[j],
+                        [[rat() for _ in range(dims[j + 1])]
+                         for _ in range(dims[j])]) for j in range(M - 1)]
+    sys_ = InverseSystem(lambda j: spaces[j - 1], lambda j: bonds[j - 1], M,
+                         "mixed")
+    scale = Q(10) ** rng.randint(-3, 3)
+    gen = generator_from_tail(sys_, [[rat(scale) for _ in range(d)]
+                                     for _ in range(dims[-1])])
+    N = rng.randint(1, M)
+    rho = sorted((Q(rng.randint(1, 12), 12) for _ in range(N)), reverse=True)
+    return DeterminingQuery(sys_, gen, RhoSchedule(tuple(rho)),
+                            Q(rng.randint(1, 16), 8), rng.randint(N, M),
+                            search=search)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_margins_match_the_per_pair_reference_bitwise(d):
+    # The stacked margins give every row the float the per-pair reference
+    # computes alone, to the bit, at scales 1e-3..1e3.
+    rng, nrng = random.Random(d), np.random.default_rng(d)
+    seen, one_row = set(), False
+    for t in range(12):
+        kinds = [_STAGE_KINDS[(t + k) % 8] for k in range(rng.randint(2, 5))]
+        q = _mixed_query(rng, d, kinds)
+        seen |= {kinds[i - 1] for i in range(1, q.rho.length + 1)}
+        one_row |= any(len(q.gen.matrix(i)) == 1
+                       for i in range(1, q.rho.length + 1))
+        fq, ref = determining._FloatQuery(q), float_margin_fn(q)
+        for scale in (1e-3, 1.0, 1e3):
+            A = nrng.uniform(-1, 1, (12, d)) * scale
+            B = A + nrng.uniform(-1, 1, (12, d)) * scale * nrng.choice(
+                [1e-3, 1e-1, 1.0])
+            A[0] = B[0] = 0.0
+            want = np.array([ref(a, b) for a, b in zip(A, B)])
+            got = fq.margins(A, B)
+            assert (got.view(np.int64) == want.view(np.int64)).all(), t
+    assert seen == set(_STAGE_KINDS) and one_row
+
+
+def test_search_on_l2_and_hpoly_stages_matches_the_sequential_reference(
+        monkeypatch):
+    monkeypatch.setattr(determining, "verify_pair",
+                        functools.lru_cache(maxsize=None)(verify_pair))
+    rng = random.Random(16)
+    kinds = set()
+    for t in range(16):
+        stages = [("l2", "hpoly", "wl2")[(t + k) % 3]
+                  for k in range(rng.randint(2, 4))]
+        q = _mixed_query(rng, rng.choice((2, 3)), stages, SearchConfig(
+            starts=rng.choice((0, 2)), iters=12, seed=t))
+        rep = eps_determining_search(q)
+        assert rep == sequential_search_reference(q), t
+        kinds.add(rep.kind)
+    assert kinds == {"counterexample", "not-found"}
 
 
 def test_search_l1_truncation_counterexample():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from banachlim import linalg, space
-from banachlim.determining import _float_norm_fn
+from banachlim.determining import _FloatNorms
 from banachlim.scalar import Q, ZERO, ONE, to_float
 from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              NormedSpace, NormSpecError, VPolytope,
@@ -226,12 +226,17 @@ def test_float_shadow_close():
     x = (1.5, -2.25, 0.75)
     xf = tuple(Q(3, 2) * s for s in (ONE, Q(-3, 2), Q(1, 2)))
     w = [Q(1), Q(1, 2), Q(3)]
-    for S in (hpoly_space(random_spanning_vectors(rng, 3, 5)),
+    spaces = (hpoly_space(random_spanning_vectors(rng, 3, 5)),
               vpoly_space(random_spanning_vectors(rng, 3, 5)),
               lp_space(1, weights=w), lp_space("inf", weights=w),
-              lp_space(2, weights=w)):
-        assert abs(_float_norm_fn(S)(np.array(x))
-                   - to_float(norm_eval(S, xf))) < 1e-12
+              lp_space(2, weights=w))
+    exact = [to_float(norm_eval(S, xf)) for S in spaces]
+    for S, n in zip(spaces, exact):
+        assert abs(_FloatNorms([S])(np.array(x))[0] - n) < 1e-12
+    # Stacked, each space's norm of its own copy of x, in one call.
+    got = _FloatNorms(spaces)(np.array([x] * 2 * len(spaces)).reshape(2, -1))
+    assert got.shape == (2, len(spaces))
+    assert (abs(got - exact) < 1e-12).all()
 
 
 def test_hpoly_and_vpoly_keep_the_same_vectors():
