@@ -1,8 +1,10 @@
 """Exact rational dense linear algebra: elimination, rank, solve, nullspace.
 
 Matrices are tuples of row tuples of exact rationals; vectors are tuples.
-Elimination is plain Gaussian elimination over the rationals (the sizes in
-this package are tiny).
+Elimination is fraction-free Gauss-Jordan on integers (rows scaled by
+their lcms, each update p row_i - f row_r divided by its gcd), so each row
+is a nonzero multiple of the rational one; a rational is built only for an
+entry a caller returns, as the integer over its row's pivot.
 
 Exact data that are combined many times (generator matrices, facet normals,
 grid lattices) also have a scaled form: a tuple of backend integers over one
@@ -86,21 +88,25 @@ def identity(n):
 
 
 def _rref(rows, ncols):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
+    """Gauss-Jordan on the first ncols columns, in integers; returns (rows,
+    pivot columns).  Each row is a nonzero multiple of the row of the
+    reduced row echelon form: row r < len(pivots) has the multiple at
+    pivots[r].  Reads only .numerator and .denominator."""
+    rows = [list(scaled(r)[0]) for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = math.gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -109,56 +115,48 @@ def _rref(rows, ncols):
 
 
 def rank(A):
-    if not A:
-        return 0
-    _, pivots = _rref(A, len(A[0]))
-    return len(pivots)
+    return len(_rref(A, len(A[0]))[1]) if A else 0
 
 
 def solve(A, b):
     """One exact solution x of A x = b, or None if inconsistent."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    aug = [list(A[i]) + [Q(b[i])] for i in range(m)]
-    rows, pivots = _rref(aug, n)
-    for i in range(len(pivots), m):
-        if rows[i][n] != 0:
-            return None
+    n = len(A[0]) if A else 0
+    rows, pivots = _rref([tuple(A[i]) + (b[i],) for i in range(len(A))], n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
     x = [ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
+    for row, c in zip(rows, pivots):
+        x[c] = Q(row[n], row[c])
     return tuple(x)
 
 
 def nullspace(A):
     """Basis (list of vectors) of the kernel of A."""
-    m = len(A)
-    n = len(A[0]) if m else 0
+    n = len(A[0]) if A else 0
     rows, pivots = _rref(A, n)
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for f in free:
+    for f in (c for c in range(n) if c not in pivots):
         v = [ZERO] * n
         v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
+        for row, c in zip(rows, pivots):
+            v[c] = Q(-row[f], row[c])
         basis.append(tuple(v))
     return basis
 
 
 def inverse(A):
     n = len(A)
-    aug = [list(A[i]) + list(identity(n)[i]) for i in range(n)]
-    rows, pivots = _rref(aug, n)
+    rows, pivots = _rref([tuple(a) + tuple(int(i == j) for j in range(n))
+                          for i, a in enumerate(A)], n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    return tuple(tuple(Q(v, row[i]) for v in row[n:])
+                 for i, row in enumerate(rows))
 
 
 def column_space_basis(A):
     """Indices of a maximal linearly independent column subset."""
-    _, pivots = _rref(A, len(A[0]) if A else 0)
-    return pivots
+    return _rref(A, len(A[0]) if A else 0)[1]
 
 
 def is_psd(S):

@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import linalg, space
-from .scalar import (Q, ZERO, ONE, format_scalar, from_float, parse_scalar,
-                     sqrt_bracket, to_float)
+from .scalar import Q, ZERO, ONE, from_float, sqrt_bracket, to_float
 from .space import (NormSpecError, NormedSpace, _canonical_sign,
                     ball_extreme_points, ball_form, dual_space,
                     extreme_point_estimate, hull_gauge, is_l2, lp_space,
@@ -370,20 +369,3 @@ def is_isometric_embedding(T: LinearMap) -> MapVerdict:
         raise NormSpecError("isometric-embedding verdict needs a polytopal "
                             "source ball (or pure l2 -> l2)")
     return _covering_verdict(T, adjoint(T), "dual extension needs norm > 1")
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-
-def map_to_json(T: LinearMap, source_label=None, target_label=None):
-    return {"source": source_label or T.source.label,
-            "target": target_label or T.target.label,
-            "matrix": [[format_scalar(v) for v in row] for row in T.matrix]}
-
-
-def map_from_json(obj, spaces) -> LinearMap:
-    """spaces: mapping from label to NormedSpace."""
-    src = spaces[obj["source"]]
-    tgt = spaces[obj["target"]]
-    return linear_map(src, tgt, [[parse_scalar(v) for v in row]
-                                 for row in obj["matrix"]])

@@ -15,14 +15,15 @@ respectively.  So extremes of a linear or convex function over a ball are
 maxima over a finite list, with no LP.  Every exact LP that minimizes a
 polytopal norm under linear equations is built by min_norm_lp.
 
-All polytope geometry is exact rational; the only approximate quantity is
-the l2 norm value itself (its square is exact).
+All polytope geometry is exact (the enumeration runs on integers); the only
+approximate quantity is the l2 norm value itself (its square is exact).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -343,25 +344,37 @@ def _adjacent(i, j, verts, dim):
 def _halfspace_polytope(halfspaces, dim):
     """Vertices of {x : a.x <= 1} by successive halfspace intersection, each
     as [point, full set of the indices of the halfspaces active at it]."""
+    return [[tuple(Q(v, pt[-1]) for v in pt[:-1]), active]
+            for pt, active in _integer_vertices(halfspaces, dim)]
+
+
+def _integer_vertices(halfspaces, dim):
+    """_halfspace_polytope with each point p / w as one primitive integer
+    vector (p, w), w > 0.  A halfspace a.x <= 1 is the covector (s a, -s),
+    s the lcm of a's denominators; an edge from P_i inside to P_j outside
+    meets it at alpha_j P_i - alpha_i P_j, alpha the covector's values."""
     # Seed: the first d independent symmetric pairs give a parallelepiped,
     # whose vertices are the sums of +- the columns of the pairs' inverse.
     idx = [2 * i for i in linalg.column_space_basis(
         linalg.transpose(halfspaces[::2]))]
     if len(idx) < dim:
         raise NormSpecError("halfspaces do not bound a polytope")
-    signed = [(c, tuple(-v for v in c)) for c in linalg.transpose(
-        linalg.inverse([halfspaces[i] for i in idx]))]
+    cols, den = linalg.scaled_rows(linalg.transpose(
+        linalg.inverse([halfspaces[i] for i in idx])))
+    signed = [(c, tuple(-v for v in c)) for c in cols]
     verts = []
     for side in itertools.product((0, 1), repeat=dim):
         pt = tuple(map(sum, zip(*(signed[j][s] for j, s in enumerate(side)))))
-        verts.append([pt, {idx[j] + s for j, s in enumerate(side)}])
-    for h, a in enumerate(halfspaces):
+        verts.append([_primitive(pt + (den,)),
+                      {idx[j] + s for j, s in enumerate(side)}])
+    covs = [nums + (-s,) for nums, s in map(linalg.scaled, halfspaces)]
+    for h, cov in enumerate(covs):
         if h - h % 2 in idx:            # a seed pair
             continue
-        vals = [linalg.dot(a, pv[0]) for pv in verts]
-        inside = [i for i, t in enumerate(vals) if t < 1]
-        on = [i for i, t in enumerate(vals) if t == 1]
-        outside = [i for i, t in enumerate(vals) if t > 1]
+        vals = [sum(map(mul, cov, pv[0])) for pv in verts]
+        inside = [i for i, t in enumerate(vals) if t < 0]
+        on = [i for i, t in enumerate(vals) if t == 0]
+        outside = [i for i, t in enumerate(vals) if t > 0]
         for i in on:
             verts[i][1].add(h)
         if not outside:
@@ -371,16 +384,20 @@ def _halfspace_polytope(halfspaces, dim):
             for j in outside:
                 if not _adjacent(i, j, verts, dim):
                     continue
-                ti, tj = vals[i], vals[j]
-                lam = (1 - ti) / (tj - ti)
-                pt = tuple(pi + lam * (pj - pi)
-                           for pi, pj in zip(verts[i][0], verts[j][0]))
+                pt = _primitive(tuple(vals[j] * pi - vals[i] * pj for pi, pj
+                                      in zip(verts[i][0], verts[j][0])))
                 new_verts.append((pt, (verts[i][1] & verts[j][1]) | {h}))
         index = {verts[i][0]: verts[i] for i in inside + on}
         for pt, active in new_verts:
             index.setdefault(pt, [pt, set()])[1] |= active
         verts = list(index.values())
     return verts
+
+
+def _primitive(v):
+    """The integer vector v over the gcd of its entries."""
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else v
 
 
 def _symmetric_ball(rows, dim):

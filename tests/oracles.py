@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they check: the gauge is computed by
 ray bisection over a hull-membership test, vertices by brute-force
-intersection of d-subsets of active constraints.
+intersection of d-subsets of active constraints, and every elimination an
+oracle needs by rref_reference, Gauss-Jordan over the rationals, never by
+linalg's integer kernel.
 """
 
 import itertools
@@ -12,12 +14,140 @@ import random
 from banachlim import linalg
 from banachlim import space as space_mod
 from banachlim.determining import Counterexample
-from banachlim.scalar import Q, ZERO, ONE, sqrt_bracket, to_float
+from banachlim.linmap import linear_map
+from banachlim.scalar import (Q, ZERO, ONE, format_scalar, parse_scalar,
+                              sqrt_bracket, to_float)
 from banachlim.simplex import LinearProgram, OPTIMAL
 from banachlim.space import (ball_extreme_points, dual_space, is_l2,
                              norm_eval, norm_eval_sq)
 
 _FACET_DIM = space_mod._FACET_DIM         # the default, before any patch
+
+
+def rref_reference(rows, ncols):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [inv * v for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def rank_reference(A):
+    return len(rref_reference(A, len(A[0]))[1]) if A else 0
+
+
+def solve_reference(A, b):
+    """One solution x of A x = b by rref_reference, or None."""
+    n = len(A[0]) if A else 0
+    rows, pivots = rref_reference(
+        [list(a) + [Q(bi)] for a, bi in zip(A, b)], n)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return None
+    x = [ZERO] * n
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
+    return tuple(x)
+
+
+def nullspace_reference(A):
+    n = len(A[0]) if A else 0
+    rows, pivots = rref_reference(A, n)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [ZERO] * n
+        v[f] = ONE
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def inverse_reference(A):
+    n = len(A)
+    rows, pivots = rref_reference(
+        [list(a) + [ONE if i == j else ZERO for j in range(n)]
+         for i, a in enumerate(A)], n)
+    if len(pivots) != n:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def halfspace_polytope_reference(halfspaces, dim):
+    """space._halfspace_polytope in rational arithmetic, as it was before
+    the integer kernel (elimination by rref_reference): [point, active set]
+    per vertex, in the same order."""
+    def adjacent(i, j):
+        common = verts[i][1] & verts[j][1]
+        return len(common) >= dim - 1 and not any(
+            common <= verts[k][1] for k in range(len(verts))
+            if k != i and k != j)
+
+    pairs = linalg.transpose(halfspaces[::2])
+    idx = [2 * i for i in rref_reference(pairs, len(pairs[0]))[1]]
+    if len(idx) < dim:
+        raise space_mod.NormSpecError("halfspaces do not bound a polytope")
+    signed = [(c, tuple(-v for v in c)) for c in linalg.transpose(
+        inverse_reference([halfspaces[i] for i in idx]))]
+    verts = []
+    for side in itertools.product((0, 1), repeat=dim):
+        pt = tuple(map(sum, zip(*(signed[j][s] for j, s in enumerate(side)))))
+        verts.append([pt, {idx[j] + s for j, s in enumerate(side)}])
+    for h, a in enumerate(halfspaces):
+        if h - h % 2 in idx:
+            continue
+        vals = [linalg.dot(a, pv[0]) for pv in verts]
+        inside = [i for i, t in enumerate(vals) if t < 1]
+        on = [i for i, t in enumerate(vals) if t == 1]
+        outside = [i for i, t in enumerate(vals) if t > 1]
+        for i in on:
+            verts[i][1].add(h)
+        if not outside:
+            continue
+        new_verts = []
+        for i in inside:
+            for j in outside:
+                if not adjacent(i, j):
+                    continue
+                ti, tj = vals[i], vals[j]
+                lam = (1 - ti) / (tj - ti)
+                pt = tuple(pi + lam * (pj - pi)
+                           for pi, pj in zip(verts[i][0], verts[j][0]))
+                new_verts.append((pt, (verts[i][1] & verts[j][1]) | {h}))
+        index = {verts[i][0]: verts[i] for i in inside + on}
+        for pt, active in new_verts:
+            index.setdefault(pt, [pt, set()])[1] |= active
+        verts = list(index.values())
+    return verts
+
+
+def map_to_json(T, source_label=None, target_label=None):
+    """A linear map as a JSON object: its space labels and its matrix."""
+    return {"source": source_label or T.source.label,
+            "target": target_label or T.target.label,
+            "matrix": [[format_scalar(v) for v in row] for row in T.matrix]}
+
+
+def map_from_json(obj, spaces):
+    """map_to_json read back; spaces: mapping from label to NormedSpace."""
+    src = spaces[obj["source"]]
+    tgt = spaces[obj["target"]]
+    return linear_map(src, tgt, [[parse_scalar(v) for v in row]
+                                 for row in obj["matrix"]])
 
 
 def count_lp_solves(monkeypatch):
@@ -138,9 +268,9 @@ def vertices_by_subset_enum(halfspaces, dim):
     out = set()
     for combo in itertools.combinations(range(len(halfspaces)), dim):
         rows = [halfspaces[i] for i in combo]
-        if linalg.rank(rows) < dim:
+        if rank_reference(rows) < dim:
             continue
-        pt = linalg.solve(rows, [ONE] * dim)
+        pt = solve_reference(rows, [ONE] * dim)
         if pt is None:
             continue
         if all(linalg.dot(a, pt) <= 1 for a in halfspaces):
@@ -162,7 +292,7 @@ def irredundant_reference(vectors, dim):
     verts = set()
     for combo in itertools.combinations(rows, dim):
         try:
-            inv = linalg.inverse(combo)
+            inv = inverse_reference(combo)
         except ValueError:              # dependent rows
             continue
         # r.(inv s) = (inv^T r).s, tested for every sign vector s on the
@@ -177,7 +307,7 @@ def irredundant_reference(vectors, dim):
             if all(abs(sum(s * n for s, n in zip(signs, ns))) <= den
                    for ns, den in tests):
                 verts.add(linalg.mat_vec(inv, signs))
-    return {r for r in rows if linalg.rank(
+    return {r for r in rows if rank_reference(
         [v for v in verts if linalg.dot(r, v) == 1]) == dim}, verts
 
 
@@ -189,7 +319,7 @@ def random_spanning_vectors(rng, dim, count, lo=-3, hi=3, den=4):
     while True:
         vecs = [random_rational_vector(rng, dim, lo, hi, den)
                 for _ in range(count)]
-        if linalg.rank(vecs) == dim and all(any(x != 0 for x in v)
+        if rank_reference(vecs) == dim and all(any(x != 0 for x in v)
                                             for v in vecs):
             return vecs
 

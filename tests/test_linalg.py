@@ -1,18 +1,22 @@
 """The scaled form of linalg: integer numerators over one positive
-denominator, and the exact rationals built back from it."""
+denominator, and the exact rationals built back from it; the integer
+elimination against Gauss-Jordan over the rationals."""
 
 import math
 import random
 
 import pytest
 
-from banachlim import linalg
+from banachlim import linalg, space
 from banachlim.scalar import Q, RAT, ZERO, ONE
 from banachlim.space import (hpoly_space, hull_gauge, lp_space, norm_eval,
                              norm_eval_sq, vpoly_space)
 from banachlim.systems import generator_from_tail, l1_drop_system
 
-from oracles import lower_enumeration_caps
+from oracles import (halfspace_polytope_reference, inverse_reference,
+                     lower_enumeration_caps, nullspace_reference,
+                     random_spanning_vectors, rank_reference, rref_reference,
+                     solve_reference)
 
 
 def _random_vector(rng, n, den):
@@ -127,3 +131,139 @@ def test_lp_norms_match_their_definitions(p):
             assert norm_eval(sp, x) == (sum(terms) if p == "1"
                                         else max(terms))
     assert sp.scaled_norm[1] == (14 ** 2 if p == "2" else 14)
+
+
+def _random_entry(rng, den):
+    """An int, or a rational with denominator up to den, often zero."""
+    if rng.random() < 0.3:
+        return 0
+    if rng.random() < 0.4:
+        return rng.randint(-9, 9)
+    return Q(rng.randint(-den, den), rng.randint(1, den))
+
+
+def _random_matrix(rng, m, n, den):
+    """m x n, with zero, repeated and scaled rows mixed in."""
+    rows = []
+    for _ in range(m):
+        roll = rng.random()
+        if rows and roll < 0.15:
+            rows.append(rng.choice(rows))
+        elif rows and roll < 0.3:
+            t = Q(rng.choice((-1, 1)) * rng.randint(1, den), rng.randint(1, 9))
+            rows.append(tuple(t * v for v in rng.choice(rows)))
+        elif roll < 0.4:
+            rows.append((0,) * n)
+        else:
+            rows.append(tuple(_random_entry(rng, den) for _ in range(n)))
+    return rows
+
+
+def _assert_elimination_matches(A, n):
+    want_rows, want_piv = rref_reference(A, n)
+    rows, pivots = linalg._rref(A, n)
+    assert pivots == want_piv
+    # Pivot rows normalised by their pivots are the reference's; every row
+    # has its zero pattern.
+    assert [tuple(Q(v, row[c]) for v in row) for row, c in
+            zip(rows, pivots)] == [tuple(r) for r in want_rows[:len(pivots)]]
+    assert [[v != 0 for v in row] for row in rows] == \
+        [[v != 0 for v in row] for row in want_rows]
+
+
+def test_integer_elimination_matches_the_fraction_reference():
+    rng = random.Random(17)
+    for m in range(7):
+        for n in range(8):
+            for den in (1, 10, 10**6):
+                for _ in range(3):
+                    A = _random_matrix(rng, m, n, den)
+                    _assert_elimination_matches(A, n)
+                    assert linalg.rank(A) == rank_reference(A)
+                    assert linalg.column_space_basis(A) == \
+                        rref_reference(A, n if m else 0)[1]
+                    assert linalg.nullspace(A) == nullspace_reference(A)
+                    # A consistent right side, a random one, and (when A
+                    # has rank below m) an inconsistent one: plus a vector
+                    # of the left kernel, orthogonal to the column space.
+                    x = tuple(_random_entry(rng, den) for _ in range(n))
+                    b = linalg.mat_vec(A, x)
+                    sides = [b, tuple(_random_entry(rng, den)
+                                      for _ in range(m))]
+                    if linalg.rank(A) < m:
+                        y = nullspace_reference(linalg.transpose(A))[0] \
+                            if n else (ONE,) * m
+                        assert linalg.solve(A, linalg.vec_add(b, y)) is None
+                        sides.append(linalg.vec_add(b, y))
+                    for b in sides:
+                        aug = [tuple(a) + (bi,) for a, bi in zip(A, b)]
+                        _assert_elimination_matches(aug, n)
+                        got = linalg.solve(A, b)
+                        assert got == solve_reference(A, b)
+                        if got is not None:
+                            assert linalg.mat_vec(A, got) == linalg.vec(b)
+                    if m == n:
+                        try:
+                            want = inverse_reference(A)
+                        except ValueError:
+                            with pytest.raises(ValueError):
+                                linalg.inverse(A)
+                        else:
+                            assert linalg.inverse(A) == want
+
+
+def test_elimination_with_negative_pivots_and_dependent_rows():
+    A = [(-2, Q(1, 3), 4), (Q(-4), Q(2, 3), 8), (0, Q(-5, 7), 1)]
+    _assert_elimination_matches(A, 3)
+    assert linalg.rank(A) == 2 and linalg.column_space_basis(A) == [0, 1]
+    assert linalg.solve(A, (1, 3, 0)) is None
+    assert linalg.solve(A, (1, 2, 0)) == solve_reference(A, (1, 2, 0))
+    with pytest.raises(ValueError, match="singular"):
+        linalg.inverse(A)
+    B = [(-3, 1), (Q(1, 10**6), Q(-7, 999983))]
+    assert linalg.inverse(B) == inverse_reference(B)
+    assert all(type(v) is RAT for r in linalg.inverse(B) for v in r)
+    assert all(type(v) is RAT for v in linalg.solve(B, (1, 0)))
+    assert linalg.nullspace(A) == nullspace_reference(A)
+
+
+def test_elimination_reads_only_numerators_and_denominators():
+    # Mixed int and rational rows, as systems.py and the tests pass them,
+    # and entries that expose nothing but .numerator and .denominator.
+    rng = random.Random(23)
+    for _ in range(40):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = _random_matrix(rng, m, n, 1000)
+        opaque = [tuple(_Ratio(Q(v).numerator, Q(v).denominator) for v in r)
+                  for r in A]
+        assert linalg.rank(opaque) == rank_reference(A)
+        assert linalg.column_space_basis(opaque) == rref_reference(A, n)[1]
+        assert linalg.nullspace(opaque) == nullspace_reference(A)
+        b = tuple(_random_entry(rng, 1000) for _ in range(m))
+        assert linalg.solve(opaque, [_Ratio(Q(v).numerator, Q(v).denominator)
+                                     for v in b]) == solve_reference(A, b)
+        if m == n:
+            try:
+                want = inverse_reference(A)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    linalg.inverse(opaque)
+            else:
+                assert linalg.inverse(opaque) == want
+
+
+def test_enumeration_reads_only_numerators_and_denominators():
+    # The integer vertex enumeration on halfspaces whose entries expose only
+    # .numerator and .denominator lists the reference's vertices, in order.
+    rng = random.Random(29)
+    for dim in (1, 2, 3, 4):
+        for _ in range(5):
+            rows = [tuple(rng.choice((int(v), Q(int(v), rng.randint(
+                1, 10**6)))) for v in r) for r in random_spanning_vectors(
+                    rng, dim, dim + rng.randint(0, 3), den=1)]
+            halfspaces = [r for f in rows
+                          for r in (f, tuple(-v for v in f))]
+            opaque = [tuple(_Ratio(Q(v).numerator, Q(v).denominator)
+                            for v in r) for r in halfspaces]
+            assert space._halfspace_polytope(opaque, dim) == \
+                halfspace_polytope_reference(halfspaces, dim)

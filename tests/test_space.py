@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from banachlim import linalg, space
 from banachlim.determining import _FloatNorms
-from banachlim.scalar import Q, ZERO, ONE, to_float
+from banachlim.scalar import Q, RAT, ZERO, ONE, to_float
 from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              NormedSpace, NormSpecError, VPolytope,
                              ball_extreme_points, dual_space, hpoly_space,
@@ -16,9 +17,9 @@ from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              space_from_json, space_to_json,
                              validate_norm_spec, vpoly_space)
 
-from oracles import (gauge_by_ray_bisection, irredundant_reference,
-                     lower_enumeration_caps, random_spanning_vectors,
-                     vertices_by_subset_enum)
+from oracles import (gauge_by_ray_bisection, halfspace_polytope_reference,
+                     irredundant_reference, lower_enumeration_caps,
+                     random_spanning_vectors, vertices_by_subset_enum)
 
 
 def test_hpoly_linf_identity():
@@ -294,6 +295,56 @@ def test_irredundant_matches_the_subset_oracle_and_the_lp_branch(
         assert set(ball_extreme_points(H)) == vertices
         assert set(ball_extreme_points(V)) == \
             {h for r in want for h in (r, tuple(-x for x in r))}
+
+
+def _enumeration_rows(rng, dim):
+    """Spanning rows for the enumeration tests: int or rational entries
+    with denominators up to 10^6, plus zero rows, repeats and scaled
+    copies (with either sign)."""
+    den = rng.choice((1, 7, 10**6))
+    while True:
+        rows = [tuple(rng.randint(-5, 5) if den == 1 or rng.random() < 0.3
+                      else Q(rng.randint(-den, den), rng.randint(1, den))
+                      for _ in range(dim))
+                for _ in range(dim + rng.randint(0, 3))]
+        if linalg.rank(rows) == dim:
+            break
+    for _ in range(rng.randint(0, 3)):
+        a = rng.choice(rows)
+        rows.append(rng.choice([
+            (0,) * dim, a, tuple(Q(rng.choice((-3, -1, 2, 5)),
+                                   rng.randint(1, den)) * x for x in a)]))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_enumeration_matches_the_fraction_reference_in_order():
+    # The integer enumeration lists the rational one's vertices in the same
+    # order, with the same active sets: cubes (the seed alone), scaled
+    # cubes, cross-polytopes (every vertex on 2^(d-1) facets), and random
+    # rows with zero, repeated and scaled ones, for d = 1..6.
+    rng = random.Random(41)
+    specs = []
+    for dim in range(1, 7):
+        eye = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        specs.append(eye)
+        specs.append([tuple(Q(rng.randint(1, 10**6), rng.randint(1, 10**6))
+                            * x for x in r) for r in eye])
+        specs.append([(1,) + sg for sg in
+                      itertools.product((1, -1), repeat=dim - 1)])
+        specs += [_enumeration_rows(rng, dim)
+                  for _ in range((40, 40, 30, 20, 8, 4)[dim - 1])]
+    for rows in specs:
+        dim = len(rows[0])
+        halfspaces = [r for f in rows for r in (f, tuple(-v for v in f))]
+        got = _halfspace_polytope(halfspaces, dim)
+        assert got == halfspace_polytope_reference(halfspaces, dim)
+        assert all(type(v) is RAT for pt, _ in got for v in pt)
+        # Each vertex p / w is kept as one primitive (p, w) with w > 0.
+        for (pt, _), (ints, _) in zip(got, space._integer_vertices(
+                halfspaces, dim)):
+            assert ints[-1] > 0 and math.gcd(*ints) == 1
+            assert tuple(Q(v, ints[-1]) for v in ints[:-1]) == pt
 
 
 def test_specs_built_from_lists_evaluate():
