@@ -426,7 +426,6 @@ class CertifyReport:
     eval_stage: int
     eps: object
     delta: object
-    margin: object              # Lipschitz exclusion margin tau of the grid
     counterexample: object = None
     straddle: tuple = None
     points_checked: int = 0
@@ -575,7 +574,6 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
 
     def report(kind, statement, **kw):
         return CertifyReport(kind, statement, q.eval_stage, q.eps, h0,
-                             L[-1] * (l_rad * Q(2, n) + Q(1, 2 * n_lev)),
                              points_checked=checked, refinements=refinements,
                              **kw)
 

@@ -3,7 +3,8 @@
 Three norm representations: weighted lp for p in {1, 2, inf}, H-polytope
 (unit ball cut out by functionals, norm = max |phi_i(x)|) and V-polytope
 (unit ball conv(+-v_j), norm = gauge).  A ball given by rows is enumerated
-once per row list and cached.  Two fixed limits govern it.  Up to
+once per row list and cached as one record: integer vertices over one
+denominator and a facet flag per row.  Two fixed limits govern it.  Up to
 dimension _FACET_DIM (4) that enumeration decides which rows (for
 generators, on the polar) a polytope space keeps, and a V-polytope norm is
 the largest psi.x over the cached facet normals psi (the vertices of its
@@ -34,13 +35,14 @@ from .simplex import LinearProgram, OPTIMAL
 
 # Where spaces switch from enumeration to LPs: up to this dimension a
 # polytope space's irredundant rows or generators and its V-polytope norm
-# come from one cached vertex enumeration, above it from LPs.  Measured on
-# random V-polytopes with d+2 to d+6 generators, ms per build:
+# come from one cached vertex enumeration, above it from LPs.  Median CPU
+# ms on random V-polytopes with d+2 to d+6 generators, per build or norm:
 #   d            2     3     4     5     6     7     8
-#   LPs        7.1  14.4  34.5  78.6   153   237   300
-#   enumerate  1.4   4.5  13.9  60.6   221   898  1884
-# Per norm evaluation the enumeration pays for itself within 2-8 of them up
-# to d = 4, after 10-25 at d = 5, and after 50-110 or never at d = 6.
+#   LP build   2.4   5.7    13    24    43    71   112
+#   LP norm    0.3   0.8   1.9   3.0   4.9   7.7    11
+#   enumerate  0.4   0.7   1.8   5.3    19   114   589
+# Enumerating wins up to d = 6, and after 7 (d = 7) or 85 (d = 8) norms;
+# the switch stays until a workload at d = 5-8 measures it end to end.
 _FACET_DIM = 4
 # Largest dimension whose rows-form ball is ever enumerated: the extreme
 # points a ball lists, and the facets of a one-off hull_gauge ball.
@@ -98,8 +100,8 @@ class NormedSpace:
             rows, s = linalg.scaled_rows(spec.functionals)
             return (lambda x: max(abs(sum(map(mul, r, x))) for r in rows)), s
         if isinstance(spec, VPolytope):
-            return _gauge(spec, self.dim, _FACET_DIM, lambda: (
-                linalg.scaled_rows(_rows_vertices(spec.vertices, self.dim))))
+            return _gauge(spec, self.dim, _FACET_DIM, lambda: _cached_ball(
+                tuple(map(tuple, spec.vertices)), self.dim)[:2])
         w, s = linalg.scaled(spec.weights)
         if spec.p == "2":
             return (lambda x: sum(t * t for t in map(mul, w, x))), s * s
@@ -230,7 +232,7 @@ def _irredundant(vectors, dim):
     kept = sorted({_canonical_sign(linalg.vec(v)) for v in vectors},
                   key=_sort_key)
     if dim <= _FACET_DIM:
-        facets = _cached_ball(tuple(kept), dim)[1]
+        facets = _cached_ball(tuple(kept), dim)[2]
         return tuple(v for v, facet in zip(kept, facets) if facet)
     eye = linalg.identity(dim)
     i = 0
@@ -341,18 +343,13 @@ def _adjacent(i, j, verts, dim):
                    for k in range(len(verts)) if k != i and k != j)
 
 
-def _halfspace_polytope(halfspaces, dim):
-    """Vertices of {x : a.x <= 1} by successive halfspace intersection, each
-    as [point, full set of the indices of the halfspaces active at it]."""
-    return [[tuple(Q(v, pt[-1]) for v in pt[:-1]), active]
-            for pt, active in _integer_vertices(halfspaces, dim)]
-
-
 def _integer_vertices(halfspaces, dim):
-    """_halfspace_polytope with each point p / w as one primitive integer
-    vector (p, w), w > 0.  A halfspace a.x <= 1 is the covector (s a, -s),
-    s the lcm of a's denominators; an edge from P_i inside to P_j outside
-    meets it at alpha_j P_i - alpha_i P_j, alpha the covector's values."""
+    """Vertices of {x : a.x <= 1} by successive halfspace intersection, each
+    as [(p, w), full set of the indices of the halfspaces active at it]: the
+    point p / w as one primitive integer vector (p, w), w > 0.  A halfspace
+    a.x <= 1 is the covector (s a, -s), s the lcm of a's denominators; an
+    edge from P_i inside to P_j outside meets it at alpha_j P_i - alpha_i
+    P_j, alpha the covector's values."""
     # Seed: the first d independent symmetric pairs give a parallelepiped,
     # whose vertices are the sums of +- the columns of the pairs' inverse.
     idx = [2 * i for i in linalg.column_space_basis(
@@ -401,33 +398,33 @@ def _primitive(v):
 
 
 def _symmetric_ball(rows, dim):
-    """(vertices, facet flags) of {x : |r.x| <= 1 for every row r}: r.x = 1
-    is a facet iff the set of vertices on it is inside no other signed
-    row's set.  A lower or empty face lies in a facet, every facet is a
-    row, and a facet's set is inside another face's only for equal rows."""
+    """(vertices, den, facets) of {x : |r.x| <= 1 for every row r}: the
+    vertices p / w as integer rows p (den // w) over den, the lcm of the
+    w's, and a facet flag per row.  r.x = 1 is a facet iff the set of
+    vertices on it is inside no other signed row's set.  A lower or empty
+    face lies in a facet, every facet is a row, and a facet's set is inside
+    another face's only for equal rows."""
     halfspaces = [r for f in rows for r in (f, tuple(-v for v in f))]
-    verts = _halfspace_polytope(halfspaces, dim)
+    verts = _integer_vertices(halfspaces, dim)
     on = [{k for k, (_, active) in enumerate(verts) if h in active}
           for h in range(len(halfspaces))]
     facets = tuple(not any(on[2 * i] <= on[h] and halfspaces[h] != r
                            for h in range(len(halfspaces)))
                    for i, r in enumerate(rows))
-    return tuple(pt for pt, _ in verts), facets
+    den = math.lcm(*(pt[-1] for pt, _ in verts))
+    return (tuple(tuple(v * (den // pt[-1]) for v in pt[:-1])
+                  for pt, _ in verts), den, facets)
 
 
+# Keyed by the rows as a tuple of row tuples.
 _cached_ball = functools.lru_cache(maxsize=32)(_symmetric_ball)
-
-
-def _rows_vertices(rows, dim):
-    """The vertices of _symmetric_ball, cached per row list (as tuples)."""
-    return _cached_ball(tuple(map(tuple, rows)), dim)[0]
 
 
 def _gauge(spec, dim, facet_dim, facets_of):
     """The scaled_norm (f, s) of the gauge of the V-polytope ball
     conv(+-spec.vertices): the largest r.x over its facet normals r (the
-    vertices of its polar, scaled rows from facets_of()) up to dimension
-    facet_dim, one exact LP per x above it."""
+    vertices of its polar, integer rows over s from the (vertices, den) of
+    facets_of()) up to dimension facet_dim, one exact LP per x above it."""
     if dim <= facet_dim:
         rows, s = facets_of()
         return (lambda x: max(sum(map(mul, r, x)) for r in rows)), s
@@ -449,8 +446,8 @@ def hull_gauge(generators, dim):
     facets are not cached, so a one-off ball evicts no reused one.  The
     generators must span."""
     spec = VPolytope(tuple(generators))
-    f, s = _gauge(spec, dim, _VERTEX_CAP, lambda: linalg.scaled_rows(
-        _symmetric_ball(spec.vertices, dim)[0]))
+    f, s = _gauge(spec, dim, _VERTEX_CAP,
+                  lambda: _symmetric_ball(spec.vertices, dim)[:2])
     return lambda x: _scaled_eval(f, s, x)
 
 
@@ -467,8 +464,9 @@ def extreme_point_estimate(space: NormedSpace):
 
 def ball_extreme_points(space: NormedSpace):
     """Extreme points of a polytopal unit ball: +-each generator, or the
-    vertices of a rows-form ball (H-polytope, linf cube) from _cached_ball,
-    keyed by the rows, so a space shares them with its dual's facets."""
+    vertices of a rows-form ball (H-polytope, linf cube), as rationals
+    unscaled from the integer record of _cached_ball, keyed by the rows, so
+    a space shares it with its dual's facets."""
     form = ball_form(space.spec)
     if form is None:
         raise NormSpecError("l2 ball is not a polytope; extreme points "
@@ -478,7 +476,8 @@ def ball_extreme_points(space: NormedSpace):
     if space.dim > _VERTEX_CAP:
         raise NormSpecError(
             f"dim {space.dim} exceeds vertex-enumeration cap {_VERTEX_CAP}")
-    return list(_rows_vertices(form[1], space.dim))
+    verts, den, _ = _cached_ball(tuple(map(tuple, form[1])), space.dim)
+    return [linalg.unscale(v, den) for v in verts]
 
 
 # ---------------------------------------------------------------------------

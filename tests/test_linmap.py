@@ -497,16 +497,18 @@ def test_opnorm_witness_is_an_attaining_source_vector(monkeypatch):
 
 def test_opnorm_lists_the_smaller_ball(monkeypatch):
     # An H-polytope source of dimension 6 into l1^2: the target dual ball
-    # lists 4 points, so the source ball is never enumerated.
+    # (the linf^2 cube) lists 4 points, so it is the one ball enumerated
+    # and the source ball never is.
     rng = random.Random(107)
     enumerated = []
-    halfspace_polytope = space._halfspace_polytope
-    monkeypatch.setattr(space, "_halfspace_polytope", lambda h, d: (
-        enumerated.append(d), halfspace_polytope(h, d))[1])
+    integer_vertices = space._integer_vertices
+    monkeypatch.setattr(space, "_integer_vertices", lambda h, d: (
+        enumerated.append(d), integer_vertices(h, d))[1])
+    space._cached_ball.cache_clear()
     src = hpoly_space(random_spanning_vectors(rng, 6, 8))
     T = _rand_map(rng, src, lp_space(1, dim=2))
     _assert_witness_attains(T, operator_norm(T))
-    assert enumerated == []
+    assert enumerated == [2]
 
 
 def test_covering_check_reads_image_facets_up_to_the_cap(monkeypatch):

@@ -12,14 +12,14 @@ from banachlim.scalar import Q, RAT, ZERO, ONE, to_float
 from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              NormedSpace, NormSpecError, VPolytope,
                              ball_extreme_points, dual_space, hpoly_space,
-                             lp_space, norm_eval, norm_eval_sq,
-                             _halfspace_polytope,
+                             hull_gauge, lp_space, norm_eval, norm_eval_sq,
                              space_from_json, space_to_json,
                              validate_norm_spec, vpoly_space)
 
 from oracles import (gauge_by_ray_bisection, halfspace_polytope_reference,
                      irredundant_reference, lower_enumeration_caps,
-                     random_spanning_vectors, vertices_by_subset_enum)
+                     random_spanning_vectors, unscaled_vertices,
+                     vertices_by_subset_enum)
 
 
 def test_hpoly_linf_identity():
@@ -178,7 +178,7 @@ def test_hpoly_vertices_vs_subset_oracle():
             while a is None:    # no such row through, say, both v and -v
                 a = linalg.solve(rng.sample(sorted(got), dim), [ONE] * dim)
             halfspaces += [a, tuple(-x for x in a)]
-            assert {pt for pt, _ in _halfspace_polytope(halfspaces, dim)} \
+            assert {pt for pt, _ in unscaled_vertices(halfspaces, dim)} \
                 == vertices_by_subset_enum(halfspaces, dim)
     # Cross-polytopes: every vertex lies on 2^(d-1) facets.
     for dim in (3, 4):
@@ -201,6 +201,30 @@ def test_norm_attainment_on_dual_vertices():
         nx = norm_eval(S, x)
         vals = [abs(linalg.dot(phi, x)) for phi in ball_extreme_points(D)]
         assert max(vals) == nx
+
+
+_FLAT_D5 = [(1, 0, 2, 0, 0), (0, 1, 0, 0, 3), (0, 0, 0, 1, 0),
+            (1, 1, 2, 1, 3), (1, 0, 2, 0, 3)]
+
+
+@pytest.mark.parametrize("rows", [[(1, 0), (1,)], [(1, 2), (-2, -4)],
+                                  _FLAT_D5], ids=["ragged", "flat-d2",
+                                                  "flat-d5"])
+@pytest.mark.parametrize("build, kind", [(hpoly_space, HPolytope),
+                                         (vpoly_space, VPolytope)],
+                         ids=["h", "v"])
+def test_polytope_builders_refuse_bad_rows(build, kind, rows):
+    want = validate_norm_spec(kind(tuple(rows)), len(rows[0]))
+    assert not want.passed
+    with pytest.raises(NormSpecError) as exc:
+        build(rows)
+    assert str(exc.value) == "; ".join(want.issues)
+
+
+def test_hull_gauge_refuses_flat_generators():
+    with pytest.raises(NormSpecError,
+                       match="halfspaces do not bound a polytope"):
+        hull_gauge([(1, 2, 0), (2, 4, 0), (0, 0, 1)], 3)
 
 
 def test_dim_cap(monkeypatch):
@@ -320,9 +344,12 @@ def _enumeration_rows(rng, dim):
 
 def test_enumeration_matches_the_fraction_reference_in_order():
     # The integer enumeration lists the rational one's vertices in the same
-    # order, with the same active sets: cubes (the seed alone), scaled
-    # cubes, cross-polytopes (every vertex on 2^(d-1) facets), and random
-    # rows with zero, repeated and scaled ones, for d = 1..6.
+    # order, with the same active sets, and the cached record holds them as
+    # the integer rows over the denominator that scaling the rational
+    # points gives: cubes (the seed alone), scaled cubes, cross-polytopes
+    # (every vertex on 2^(d-1) facets), and random rows with zero, repeated
+    # and scaled ones, for d = 1..6.  A rows ball lists the same points as
+    # rationals.
     rng = random.Random(41)
     specs = []
     for dim in range(1, 7):
@@ -337,14 +364,17 @@ def test_enumeration_matches_the_fraction_reference_in_order():
     for rows in specs:
         dim = len(rows[0])
         halfspaces = [r for f in rows for r in (f, tuple(-v for v in f))]
-        got = _halfspace_polytope(halfspaces, dim)
-        assert got == halfspace_polytope_reference(halfspaces, dim)
-        assert all(type(v) is RAT for pt, _ in got for v in pt)
         # Each vertex p / w is kept as one primitive (p, w) with w > 0.
-        for (pt, _), (ints, _) in zip(got, space._integer_vertices(
-                halfspaces, dim)):
-            assert ints[-1] > 0 and math.gcd(*ints) == 1
-            assert tuple(Q(v, ints[-1]) for v in ints[:-1]) == pt
+        assert all(ints[-1] > 0 and math.gcd(*ints) == 1 for ints, _ in
+                   space._integer_vertices(halfspaces, dim))
+        want = halfspace_polytope_reference(halfspaces, dim)
+        assert unscaled_vertices(halfspaces, dim) == want
+        rows = tuple(map(tuple, rows))
+        assert space._symmetric_ball(rows, dim)[:2] == \
+            linalg.scaled_rows([pt for pt, _ in want])
+        got = ball_extreme_points(NormedSpace(dim, HPolytope(rows)))
+        assert got == [pt for pt, _ in want]
+        assert all(type(v) is RAT for pt in got for v in pt)
 
 
 def test_specs_built_from_lists_evaluate():
