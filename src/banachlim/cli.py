@@ -167,20 +167,9 @@ def cmd_validate(args, job):
     }, 0 if passed else 1
 
 
-def _canon_label(label):
-    # Biduals are identified with the original space: collapse '**'.
-    while label.endswith("**"):
-        label = label[:-2]
-    return label
-
-
 def cmd_dualize(args, job):
-    system = _load_system(job, args)
-    dual = dualize(system)
+    dual = dualize(_load_system(job, args))
     payload = system_to_json(dual)
-    payload["label"] = _canon_label(payload["label"])
-    for sp in payload["spaces"]:
-        sp["label"] = _canon_label(sp["label"])
     if args.out:
         _write_atomic(args.out,
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -400,8 +389,14 @@ def cmd_curves(args, job):
     if ts == "canonical":
         ts = curves_mod.canonical_grid(
             require_int(job.get("grid_points", 100), "grid_points", 1))
-    lo, hi = job.get("m_range", [4, 14])
+    elif any(isinstance(t, bool) for t in ts):
+        raise ValueError("ts entries must be numbers, not bools")
+    m_range = job.get("m_range", [4, 14])
+    if not isinstance(m_range, list) or len(m_range) != 2:
+        raise ValueError("m_range must be a list of two ints")
+    lo, hi = (require_int(m, "m_range entry") for m in m_range)
     M = job.get("stage")
+    M = None if M is None else require_int(M, "stage", 1)
     if args.max_stage is not None:
         M = min(M or args.max_stage, args.max_stage)
     rep = curves_mod.differentiability_scan(curve, ts, range(lo, hi + 1), M)

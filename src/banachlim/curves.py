@@ -26,7 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalar import Q, to_float
+from . import linalg
+from .scalar import Q, from_float, to_float
 from .space import norm_eval
 from .systems import (CompatibleVector, InverseSystem, compatible_from_tail,
                       l1_drop_system, linf_drop_system)
@@ -68,17 +69,17 @@ class CoordinateCurve:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "frequencies", freqs)
         if self.lipschitz_bound is None:
-            _, wave_lip = WAVEFORMS[self.waveform]
-            bound = self._coordinate_lipschitz_sum(wave_lip)
-            object.__setattr__(self, "lipschitz_bound", bound)
-
-    def _coordinate_lipschitz_sum(self, wave_lip):
-        per_coord = [abs(a) * abs(b) * wave_lip
-                     for a, b in zip(self.amplitudes, self.frequencies)]
-        top = self.system.stage(self.system.max_stage)
-        if top.spec.kind == "lp" and top.spec.p == "inf":
-            return max(per_coord)
-        return sum(per_coord)
+            # Coordinate k is L_k lip-Lipschitz, L_k = |a_k b_k|, so f into
+            # the top stage M is lip ||(L_k)_{k<=M}||_M-Lipschitz for a
+            # (monotone) weighted lp norm, else lip sum L_k ||e_k||_M; exact.
+            M = self.system.max_stage
+            top, ratio = self.system.stage(M), float.as_integer_ratio
+            L = [Q(abs(p * q), s * t) for (p, s), (q, t) in zip(
+                map(ratio, amps[:M]), map(ratio, freqs[:M]))]
+            bound = norm_eval(top, L) if top.spec.kind == "lp" else sum(
+                c * norm_eval(top, e) for c, e in zip(L, linalg.identity(M)))
+            bound *= from_float(WAVEFORMS[self.waveform][1])
+            object.__setattr__(self, "lipschitz_bound", to_float(bound))
 
     def coordinate(self, k, t):
         wave, _ = WAVEFORMS[self.waveform]

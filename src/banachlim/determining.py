@@ -248,7 +248,7 @@ class _FloatNorms:
 class _FloatQuery:
     """Float shadow of a query: the matrices of stages 1..N and M, stacked
     in that order (M once; stage i at the columns cols[i]), norms of the
-    stacked images and of each stage, and the margins of pairs."""
+    stacked images, and the margins of pairs."""
 
     def __init__(self, q: DeterminingQuery):
         self.N, self.M, self.d = q.rho.length, q.eval_stage, q.gen.param_dim
@@ -259,8 +259,6 @@ class _FloatQuery:
                                for row in q.gen.matrix(i)])
                   for i in self.stages}
         self.norms = _FloatNorms([q.system.stage(i) for i in self.G])
-        self.norm = {i: lambda Y, f=_FloatNorms([q.system.stage(i)]):
-                     f(Y)[..., 0] for i in self.G}
         self.cols = {i: slice(lo, lo + len(G)) for lo, (i, G) in zip(
             self.norms.starts, self.G.items())}
         self.stacked = np.concatenate(list(self.G.values()))
@@ -481,6 +479,7 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
     c_max, c_min = _cube_constants(nu)
     l_rad = 2 * c_max / c_min          # radial projection, cube -> nu sphere
     fq = _FloatQuery(q)
+    stage_norm = {i: _FloatNorms([q.system.stage(i)]) for i in (fq.N, fq.M)}
     # ||G_i a||_i <= L_i nu(a); stage M is nu itself (L = 1).
     L = [max(ONE, operator_norm(linear_map(nu, q.system.stage(i), G)).upper)
          for i, G in enumerate(q.gen.matrices[:fq.N], 1)]
@@ -514,8 +513,8 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
 
         def dist(i):
             c = fq.cols[i]
-            return fq.norm[i](Va[:, None, None, c]
-                              - T[:, None] * Vu[None, :, None, c])
+            return stage_norm[i](Va[:, None, None, c]
+                                 - T[:, None] * Vu[None, :, None, c])[..., 0]
         prox, sep = 1 / fq.N - dist(fq.N), dist(fq.M) - fq.eps
         return (prox > -tau_p) & (sep > -tau_p), np.minimum(prox, sep)
 

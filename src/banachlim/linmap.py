@@ -22,9 +22,9 @@ from functools import cached_property
 from . import linalg, space
 from .scalar import Q, ZERO, ONE, from_float, sqrt_bracket, to_float
 from .space import (NormSpecError, NormedSpace, _canonical_sign,
-                    ball_extreme_points, ball_form, dual_space,
-                    extreme_point_estimate, hull_gauge, is_l2, lp_space,
-                    min_norm_lp, norm_eval, norm_eval_sq)
+                    ball_extreme_points, ball_form, extreme_point_estimate,
+                    hull_gauge, is_l2, lp_space, min_norm_lp, norm_eval,
+                    norm_eval_sq)
 
 EXACT = "exact"
 SAMPLED_BOUND = "sampled-bound"
@@ -126,10 +126,10 @@ def adjoint(T: LinearMap) -> LinearMap:
     """T* : target* -> source*, transposed matrix (the inverted index map
     of a coordinate map)."""
     if T.coords is None:
-        return LinearMap(dual_space(T.target), dual_space(T.source),
+        return LinearMap(T.target.dual, T.source.dual,
                          linalg.transpose(T.rows))
     inverse = {c: i for i, c in enumerate(T.coords) if c is not None}
-    return LinearMap(dual_space(T.target), dual_space(T.source),
+    return LinearMap(T.target.dual, T.source.dual,
                      coords=tuple(map(inverse.get, range(T.source.dim))))
 
 
@@ -202,7 +202,7 @@ def _route_norm(T: LinearMap):
     # A tie goes to the dual route: a primal pass into a V-polytope target
     # above dimension 4 solves one LP per point.
     routes = sorted((n, primal) for n, primal in (
-        (extreme_point_estimate(dual_space(T.target)), False),
+        (extreme_point_estimate(T.target.dual), False),
         (extreme_point_estimate(T.source), True)) if n is not None)
     err = None
     for _, primal in routes:

@@ -83,9 +83,20 @@ class NormedSpace:
     label: str = ""
 
     def __post_init__(self):
-        diag = validate_norm_spec(self.spec, self.dim)
-        if not diag.passed:
-            raise NormSpecError("; ".join(diag.issues))
+        validate_norm_spec(self.spec, self.dim)
+
+    @functools.cached_property
+    def dual(self):
+        """The polar, built and checked once per space; its own dual is a
+        new space equal to this one (unless its label ends in '**')."""
+        spec = self.spec
+        label = dual_label(self.label) if self.label else ""
+        if isinstance(spec, LpNorm):
+            inv = tuple(ONE / Q(w) for w in spec.weights)
+            return NormedSpace(self.dim, LpNorm(_DUAL_P[spec.p], inv), label)
+        if isinstance(spec, HPolytope):
+            return NormedSpace(self.dim, VPolytope(spec.functionals), label)
+        return NormedSpace(self.dim, HPolytope(spec.vertices), label)
 
     @functools.cached_property
     def scaled_norm(self):
@@ -110,12 +121,6 @@ class NormedSpace:
         return (lambda x: max(map(abs, map(mul, w, x)), default=0)), s
 
 
-@dataclass(frozen=True)
-class NormDiagnostics:
-    passed: bool
-    issues: tuple = ()
-
-
 def _canonical_sign(v):
     for x in v:
         if x != 0:
@@ -127,8 +132,8 @@ def _sort_key(v):
     return tuple((x.numerator, x.denominator) for x in map(Q, v))
 
 
-def validate_norm_spec(spec, dim) -> NormDiagnostics:
-    """Verdict-style check of the NormSpec invariants (never raises)."""
+def validate_norm_spec(spec, dim):
+    """Check the NormSpec invariants; NormSpecError lists every fault."""
     issues = []
     if isinstance(spec, LpNorm):
         if spec.p not in ("1", "2", "inf"):
@@ -151,7 +156,8 @@ def validate_norm_spec(spec, dim) -> NormDiagnostics:
                           "infinite off a subspace, rejected)")
     else:
         issues.append(f"unknown spec {type(spec).__name__}")
-    return NormDiagnostics(not issues, tuple(issues))
+    if issues:
+        raise NormSpecError("; ".join(issues))
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +255,7 @@ def _irredundant(vectors, dim):
 def _polytope_space(kind, vectors, label):
     vecs = tuple(linalg.vec(v) for v in vectors)
     dim = len(vecs[0]) if vecs else 0
-    diag = validate_norm_spec(kind(vecs), dim)
-    if not diag.passed:
-        raise NormSpecError("; ".join(diag.issues))
+    validate_norm_spec(kind(vecs), dim)
     return NormedSpace(dim, kind(_irredundant(vecs, dim)), label)
 
 
@@ -315,17 +319,17 @@ def norm_eval_sq(space: NormedSpace, x):
 _DUAL_P = {"1": "inf", "inf": "1", "2": "2"}
 
 
+def dual_label(label):
+    """label + '*', trailing '**' pairs collapsed: a bidual is the space."""
+    label += "*"
+    while label.endswith("**"):
+        label = label[:-2]
+    return label
+
+
 def dual_space(space: NormedSpace) -> NormedSpace:
-    spec = space.spec
-    label = f"{space.label}*" if space.label else ""
-    if isinstance(spec, LpNorm):
-        dual_w = tuple(ONE / Q(w) for w in spec.weights)
-        return NormedSpace(space.dim, LpNorm(_DUAL_P[spec.p], dual_w), label)
-    if isinstance(spec, HPolytope):
-        return NormedSpace(space.dim, VPolytope(spec.functionals), label)
-    if isinstance(spec, VPolytope):
-        return NormedSpace(space.dim, HPolytope(spec.vertices), label)
-    raise NormSpecError(f"unknown spec {type(spec).__name__}")
+    """The polar of space, cached as space.dual."""
+    return space.dual
 
 
 # ---------------------------------------------------------------------------

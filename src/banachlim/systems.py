@@ -18,9 +18,9 @@ from .scalar import (Q, ZERO, format_scalar, parse_scalar, require_int,
                      require_type)
 from .linmap import (LinearMap, adjoint, is_quotient_map, lipschitz_verdict,
                      linear_map, min_norm_preimage)
-from .space import (NormedSpace, ball_extreme_points, dual_space, lp_space,
-                    norm_eval, norm_eval_sq, space_from_json, space_to_json,
-                    vpoly_space)
+from .space import (NormedSpace, ball_extreme_points, dual_label, dual_space,
+                    lp_space, norm_eval, norm_eval_sq, space_from_json,
+                    space_to_json, vpoly_space)
 
 
 class StageError(ValueError):
@@ -102,7 +102,7 @@ def dualize(system):
     cls = InverseSystem if isinstance(system, DirectSystem) else DirectSystem
     return cls(lambda i: dual_space(system.stage(i)),
                lambda i: adjoint(system.bond(i)),
-               system.max_stage, label=f"{system.label}*")
+               system.max_stage, label=dual_label(system.label))
 
 
 # ---------------------------------------------------------------------------

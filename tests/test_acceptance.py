@@ -280,6 +280,10 @@ def _violation_estimate(q, rng, samples=2000):
     feasible pairs to a thin neighborhood of the diagonal."""
     import numpy as np
     fq = dt._FloatQuery(q)
+    norms = {i: dt._FloatNorms([q.system.stage(i)]) for i in fq.stages}
+
+    def norm(i, v):
+        return norms[i](v)[..., 0]
     best = 0.0
     for _ in range(samples):
         a = np.array([rng.uniform(-1, 1) for _ in range(2)])
@@ -287,20 +291,19 @@ def _violation_estimate(q, rng, samples=2000):
         b = a + scale * np.array([rng.uniform(-1, 1) for _ in range(2)])
         va = {i: fq.G[i] @ a for i in fq.stages}
         vb = {i: fq.G[i] @ b for i in fq.stages}
-        s = max(float(fq.norm[fq.M](va[fq.M])),
-                float(fq.norm[fq.M](vb[fq.M])))
+        s = max(float(norm(fq.M, va[fq.M])), float(norm(fq.M, vb[fq.M])))
         if s < 1e-9:
             continue
         feasible = all(
-            float(fq.norm[i](v[i])) > (1 - fq.rho[i - 1]) * n
+            float(norm(i, v[i])) > (1 - fq.rho[i - 1]) * n
             for i in range(1, fq.N + 1)
-            for v, n in ((va, float(fq.norm[fq.M](va[fq.M]))),
-                         (vb, float(fq.norm[fq.M](vb[fq.M])))))
+            for v, n in ((va, float(norm(fq.M, va[fq.M]))),
+                         (vb, float(norm(fq.M, vb[fq.M])))))
         if not feasible:
             continue
-        if float(fq.norm[fq.N](va[fq.N] - vb[fq.N])) >= s / fq.N:
+        if float(norm(fq.N, va[fq.N] - vb[fq.N])) >= s / fq.N:
             continue
-        best = max(best, float(fq.norm[fq.M](va[fq.M] - vb[fq.M])) / s)
+        best = max(best, float(norm(fq.M, va[fq.M] - vb[fq.M])) / s)
     return best
 
 

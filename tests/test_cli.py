@@ -115,6 +115,20 @@ def test_dualize_roundtrip(tmp_path, capsys):
     assert open(d1).read() == open(d3).read()
 
 
+@pytest.mark.parametrize("label", ["", "x", "x*", "x**"])
+def test_dualize_reports_the_label_it_writes(tmp_path, capsys, label):
+    """The report of dualize --out names the label of the file it wrote,
+    also for a system that was dualized before."""
+    path = _write(tmp_path, "sys.json", dict(_INLINE_SYSTEM, label=label))
+    for k in (1, 2):
+        out = str(tmp_path / f"d{k}.json")
+        code, report = _run(capsys, "dualize", path, "--out", out)
+        assert code == 0
+        assert json.loads(report)["dual_label"] == \
+            json.loads(pathlib.Path(out).read_text())["label"]
+        path = out
+
+
 def test_norms_exact_values(tmp_path, capsys):
     job = _write(tmp_path, "job.json", {
         "system": {"builtin": "l1_drop", "stages": 4},
@@ -730,6 +744,18 @@ _GUARDED = {
     "curves-empty-scale-range": ("curves", dict(json.loads(_CURVE_JOB),
                                                 m_range=[5, 4]),
                                  "empty scale range"),
+    "curves-bool-stage": ("curves", {
+        "curve": "canonical_c0", "grid_points": 2, "m_range": [4, 5],
+        "stage": True}, "stage must be an int >= 1"),
+    "curves-fractional-m-range": ("curves", dict(json.loads(_CURVE_JOB),
+                                                 m_range=[4.5, 5]),
+                                  "m_range entry must be an int"),
+    "curves-short-m-range": ("curves", dict(json.loads(_CURVE_JOB),
+                                            m_range=[4]),
+                             "m_range must be a list of two ints"),
+    "curves-bool-ts": ("curves", dict(json.loads(_CURVE_JOB),
+                                      ts=[0.0, True]),
+                       "ts entries must be numbers, not bools"),
 }
 
 
@@ -846,6 +872,11 @@ _CHEAP_JOBS = [
                "vectors": [["1", "1/2"]]}),
     ("determine", {"canonical": "prefix_obstruction", "n": 2,
                    "mode": "search", "search": {"starts": 1, "iters": 3}}),
+    ("dualize", dict(_INLINE_SYSTEM, label="x*")),
+    ("anp-dp", {"system": {"builtin": "l1_drop", "stages": 2},
+                "sequence": [["1", "0"], ["1", "1/2"]]}),
+    ("gfda-check", _gfda_job(stages=2, generator=_FLIP_GEN[:2])),
+    ("curves", json.loads(_CURVE_JOB)),
 ]
 
 _json_values = st.recursive(

@@ -6,7 +6,7 @@ import pytest
 from banachlim.scalar import to_float
 from banachlim.space import norm_eval
 from banachlim.systems import (l1_drop_system, l2_drop_system,
-                               linf_drop_system, project)
+                               linf_drop_system, project, system_from_json)
 from banachlim.curves import (CoordinateCurve, canonical_c0_curve,
                               canonical_grid, canonical_l1_curve,
                               coordinate_gap_oracle, difference_quotient,
@@ -47,6 +47,31 @@ def test_declared_lipschitz_bounds():
     assert verify_lipschitz(c0)
     assert verify_lipschitz(_linear_curve())
     assert verify_lipschitz(_constant_curve())
+
+
+def _three_stage_system(stage_spec):
+    """Three stages with the given spec at each dim, last coordinate
+    dropped."""
+    return system_from_json({
+        "spaces": [{"dim": i, "spec": stage_spec(i)} for i in (1, 2, 3)],
+        "bonds": [[["1", "0"]], [["1", "0", "0"], ["0", "1", "0"]]]})
+
+
+@pytest.mark.parametrize("stage_spec", [
+    lambda i: {"kind": "lp", "p": "1", "weights": ["3"] * i},
+    lambda i: {"kind": "hpoly", "functionals": [["3"] * i] + [
+        ["1" if j == k else "0" for j in range(i)] for k in range(i)]}],
+    ids=["weighted-l1", "hpoly"])
+def test_default_lipschitz_bound_reads_the_stage_norm(stage_spec):
+    """f_k = sin t: ||f(t) - f(s)|| = 9 |sin t - sin s| in both norms, so
+    the constant is 9, where the sum of the coordinate constants is 3."""
+    system = _three_stage_system(stage_spec)
+    curve = CoordinateCurve(system, (1.0,) * 3, (1.0,) * 3)
+    assert curve.lipschitz_bound == 9.0
+    assert verify_lipschitz(curve)
+    assert not verify_lipschitz(CoordinateCurve(system, (1.0,) * 3,
+                                                (1.0,) * 3,
+                                                lipschitz_bound=3.0))
 
 
 def test_lipschitz_verification_catches_bad_bound():

@@ -341,6 +341,11 @@ def test_parameter_space_pullback_l1_signs():
         assert norm_eval(dom, a) == direct
 
 
+def test_l1_pullback_refuses_too_many_sign_patterns():
+    with pytest.raises(ValueError, match="too many sign patterns"):
+        determining._pullback(lp_space(1, dim=14), [[ONE]] * 14)
+
+
 def test_parameter_space_pullback_hpoly_stages():
     # H-polytope stages, the last coordinate dropped between them: the
     # pullback through G is the H-polytope of the rows r G.

@@ -267,3 +267,9 @@ def test_enumeration_reads_only_numerators_and_denominators():
                             for v in r) for r in halfspaces]
             assert unscaled_vertices(opaque, dim) == \
                 halfspace_polytope_reference(halfspaces, dim)
+
+
+def test_is_psd_at_a_zero_pivot():
+    """A zero pivot is PSD only with a zero row."""
+    assert not linalg.is_psd([[ZERO, ONE], [ONE, ZERO]])
+    assert linalg.is_psd([[ZERO, ZERO], [ZERO, ONE]])

@@ -691,3 +691,18 @@ def test_coordinate_maps_check_their_input():
         LinearMap(src, tgt, coords=(0, None))((ONE, ONE))
     assert linear_map(src, tgt, [[1, 0, 0], [1, 0, 0]]).coords is None
     assert linear_map(src, tgt, [[2, 0, 0], [0, 1, 0]]).coords is None
+
+
+def test_map_verdicts_refuse_bad_input():
+    src, tgt = lp_space(1, dim=2), lp_space("inf", dim=2)
+    T = linear_map(src, tgt, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="target vector has wrong dim"):
+        min_norm_preimage(T, (ONE,))
+    with pytest.raises(ValueError, match="requires a surjective map"):
+        quotient_norm(linear_map(src, tgt, [[1, 1], [1, 1]]), (ONE, ONE))
+    with pytest.raises(space.NormSpecError, match="polytopal target"):
+        is_quotient_map(linear_map(src, lp_space(2, dim=2), [[1, 0],
+                                                              [0, 1]]))
+    with pytest.raises(space.NormSpecError, match="polytopal source"):
+        is_isometric_embedding(linear_map(lp_space(2, dim=2), tgt,
+                                          [[1, 0], [0, 1]]))

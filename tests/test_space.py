@@ -57,12 +57,20 @@ def test_norm_eval_sq_dimension_mismatch(p, x):
 
 
 def test_validate_norm_degenerate():
-    assert not validate_norm_spec(HPolytope(((ONE, ZERO),)), 2).passed
-    assert not validate_norm_spec(
-        VPolytope(((ONE, ONE), (Q(2), Q(2)))), 2).passed
-    assert validate_norm_spec(LpNorm("2", (ONE, ONE, ONE)), 3).passed
-    assert not validate_norm_spec(LpNorm("1", (ONE, ZERO)), 2).passed
-    assert not validate_norm_spec(LpNorm("3", (ONE, ONE)), 2).passed
+    with pytest.raises(NormSpecError, match="^functionals do not span"):
+        validate_norm_spec(HPolytope(((ONE, ZERO),)), 2)
+    with pytest.raises(NormSpecError, match="^vertices do not span"):
+        validate_norm_spec(VPolytope(((ONE, ONE), (Q(2), Q(2)))), 2)
+    validate_norm_spec(LpNorm("2", (ONE, ONE, ONE)), 3)
+    with pytest.raises(NormSpecError,
+                       match="^weights must be strictly positive$"):
+        validate_norm_spec(LpNorm("1", (ONE, ZERO)), 2)
+    with pytest.raises(NormSpecError, match="^p='3' not in"):
+        validate_norm_spec(LpNorm("3", (ONE, ONE)), 2)
+    with pytest.raises(NormSpecError, match="^p='3' not in {1,2,inf}; "
+                       "weight count != dim; weights must be strictly "
+                       "positive$"):
+        validate_norm_spec(LpNorm("3", (-ONE,)), 2)
 
 
 def test_gauge_against_ray_bisection_oracle():
@@ -105,6 +113,27 @@ def test_dual_lp_spaces():
     DW = dual_space(W)
     assert DW.spec.p == "inf"
     assert DW.spec.weights == (Q(1, 2), Q(3))
+
+
+@pytest.mark.parametrize("label, dual", [("", ""), ("x", "x*"),
+                                          ("x*", "x"), ("x**", "x*"),
+                                          ("x***", "x")])
+@pytest.mark.parametrize("build", [
+    lambda label: lp_space(1, weights=[Q(2), Q(1, 3)], label=label),
+    lambda label: lp_space("inf", weights=[Q(3, 4)], label=label),
+    lambda label: lp_space(2, weights=[Q(5), ONE, Q(2, 7)], label=label),
+    lambda label: hpoly_space([(1, 0), (0, 1), (1, 1)], label=label),
+    lambda label: vpoly_space([(1, 0), (0, 1), (2, 3)], label=label)],
+    ids=["l1", "linf", "l2", "h", "v"])
+def test_dual_is_built_once_and_its_dual_is_the_space(build, label, dual):
+    S = build(label)
+    D = dual_space(S)
+    assert D is dual_space(S) is S.dual
+    assert D.label == dual
+    DD = dual_space(D)
+    assert DD is not S
+    assert DD.spec == S.spec
+    assert (DD == S) == (not label.endswith("**"))
 
 
 def test_dual_hpoly_gauge():
@@ -214,11 +243,11 @@ _FLAT_D5 = [(1, 0, 2, 0, 0), (0, 1, 0, 0, 3), (0, 0, 0, 1, 0),
                                          (vpoly_space, VPolytope)],
                          ids=["h", "v"])
 def test_polytope_builders_refuse_bad_rows(build, kind, rows):
-    want = validate_norm_spec(kind(tuple(rows)), len(rows[0]))
-    assert not want.passed
+    with pytest.raises(NormSpecError) as want:
+        validate_norm_spec(kind(tuple(rows)), len(rows[0]))
     with pytest.raises(NormSpecError) as exc:
         build(rows)
-    assert str(exc.value) == "; ".join(want.issues)
+    assert str(exc.value) == str(want.value)
 
 
 def test_hull_gauge_refuses_flat_generators():

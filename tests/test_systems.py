@@ -9,7 +9,7 @@ from banachlim import linalg, linmap
 from banachlim.scalar import Q, ZERO, ONE
 from banachlim.linmap import (is_isometric_embedding, is_one_lipschitz,
                               is_quotient_map, linear_map, operator_norm)
-from banachlim.space import norm_eval, norm_eval_sq, lp_space
+from banachlim.space import dual_space, norm_eval, norm_eval_sq, lp_space
 from banachlim.systems import (CompatibleVector, DirectSystem, InverseSystem,
                                StageError, SubspaceGenerator,
                                compatible_from_tail, diagonal_subsequence,
@@ -117,6 +117,22 @@ def test_dualize_twice_stagewise_isometric():
             assert norm_eval(S, x) == norm_eval(S2, x)
 
 
+@pytest.mark.parametrize("build", list(BUILTIN_SYSTEMS.values()) + [
+    lambda n: random_quotient_system(5, n)],
+    ids=list(BUILTIN_SYSTEMS) + ["random_quotient"])
+def test_dualize_twice_gives_the_system_back(build):
+    system = build(4)
+    dual, bidual = dualize(system), dualize(dualize(system))
+    assert dual.label == system.label + "*"
+    assert bidual.label == system.label
+    for i in range(1, 5):
+        S = system.stage(i)
+        assert dual.stage(i) is dual_space(S)
+        assert bidual.stage(i) == dual_space(dual_space(S)) == S
+    for i in range(1, 4):
+        assert bidual.bond(i).matrix == system.bond(i).matrix
+
+
 def test_dualize_isometric_injective_to_quotient():
     ds = linf_padding_system(4)
     for i in range(1, 4):
@@ -180,6 +196,28 @@ def test_bad_compatible_vector_rejected():
     sys3 = l1_drop_system(3)
     with pytest.raises(StageError):
         CompatibleVector(sys3, ((ONE,), (ZERO, ZERO), (ZERO, ZERO, ZERO)))
+
+
+
+def test_systems_refuse_out_of_range_input():
+    sys3 = l1_drop_system(3)
+    with pytest.raises(StageError, match="stage 4 outside 1..3"):
+        sys3.stage(4)
+    with pytest.raises(StageError, match="bond 3 outside 1..2"):
+        sys3.bond(3)
+    with pytest.raises(StageError, match="stage 2 vector has wrong dim"):
+        CompatibleVector(sys3, ((ONE,), (ONE,), (ONE, ZERO, ZERO)))
+    cv = compatible_from_tail(sys3, (ONE, ZERO, ZERO))
+    with pytest.raises(StageError, match="covector dimension mismatch"):
+        pairing(cv, 2, (ONE,))
+    pad = linf_padding_system(3)
+    with pytest.raises(StageError, match="stage 0 outside 1..3"):
+        direct_limit_norm(pad, (ONE,), 0)
+    with pytest.raises(StageError, match="vector has wrong dimension"):
+        direct_limit_norm(pad, (ONE, ONE), 1)
+    with pytest.raises(ValueError, match="empty sequence"):
+        invlim_convergence([], Q(1, 10))
+    assert diagonal_subsequence([], Q(1, 10)) == []
 
 
 def test_wrong_stage_rejected_at_depth():
@@ -250,7 +288,6 @@ def test_pairing_pushforward_consistency():
 
 
 def test_pairing_bound():
-    from banachlim.space import dual_space
     rng = random.Random(78)
     sysr = random_quotient_system(13, 4)
     for _ in range(5):
@@ -275,6 +312,15 @@ def test_pairing_isometry_zero():
     cv = compatible_from_tail(sys2, (ZERO, ZERO))
     res = pairing_isometry_check(cv)
     assert res.verdict and res.attained == 0
+
+
+def test_pairing_isometry_against_a_limit_norm():
+    # Stage-4 norm 2 - 1/8 of the geometric tail, whose limit norm is 2.
+    cv = compatible_from_tail(l1_drop_system(4),
+                              tuple(Q(1, 2 ** k) for k in range(4)),
+                              limit_norm=Q(2))
+    assert pairing_isometry_check(cv, Q(1, 8)).limit_gap_within_eps
+    assert not pairing_isometry_check(cv, Q(1, 16)).limit_gap_within_eps
 
 
 def test_pairing_isometry_random_polytope():
