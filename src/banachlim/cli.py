@@ -229,8 +229,9 @@ def cmd_quotient_check(args, job):
     }, 0 if qv.verdict else 1
 
 
-def _configs(job, args):
-    """The job's SearchConfig (seed overridden by --seed) and CertifyConfig."""
+def _query_kw(job, args):
+    """DeterminingQuery keywords of a job: its SearchConfig (seed overridden
+    by --seed) and CertifyConfig, and its rho and eps where it gives them."""
     kw = {}
     for key, cls in (("search", SearchConfig), ("certify", CertifyConfig)):
         obj = job.get(key, {})
@@ -242,22 +243,25 @@ def _configs(job, args):
             raise ValueError(f'unknown key in "{key}": {", ".join(unknown)} '
                              f'(allowed: {", ".join(allowed)})')
         kw[key] = dict(obj)
-    search = SearchConfig(**kw["search"])
+    kw["search"] = SearchConfig(**kw["search"])
     if args.seed is not None:
-        search = dataclasses.replace(search, seed=args.seed)
+        kw["search"] = dataclasses.replace(kw["search"], seed=args.seed)
     if "delta" in kw["certify"]:
         kw["certify"]["delta"] = parse_scalar(kw["certify"]["delta"])
-    return search, CertifyConfig(**kw["certify"])
+    kw["certify"] = CertifyConfig(**kw["certify"])
+    if "rho" in job:
+        kw["rho"] = RhoSchedule(tuple(parse_scalar(r) for r in job["rho"]))
+    if "eps" in job:
+        kw["eps"] = parse_scalar(job["eps"])
+    return kw
 
 
 def _query_on(system, gen, job, args):
     """The DeterminingQuery of a job's rho, eps and eval_stage on gen."""
-    search, certify = _configs(job, args)
-    rho = RhoSchedule(tuple(parse_scalar(r) for r in job["rho"]))
-    eval_stage = require_int(job.get("eval_stage", gen.top_stage),
-                             "eval_stage", 1)
-    return DeterminingQuery(system, gen, rho, parse_scalar(job["eps"]),
-                            eval_stage, search=search, certify=certify)
+    kw = _query_kw(job, args)
+    return DeterminingQuery(system, gen, kw.pop("rho"), kw.pop("eps"),
+                            require_int(job.get("eval_stage", gen.top_stage),
+                                        "eval_stage", 1), **kw)
 
 
 def _generator(system, obj):
@@ -271,15 +275,10 @@ def _generator(system, obj):
 
 def _parse_query(job, args):
     if "canonical" in job:
-        search, certify = _configs(job, args)
         if job["canonical"] != "prefix_obstruction":
             raise ValueError(f"unknown canonical query {job['canonical']!r}")
-        eps = parse_scalar(job.get("eps", "1/2"))
-        rho = (tuple(parse_scalar(r) for r in job["rho"])
-               if "rho" in job else None)
         return prefix_obstruction_query(require_int(job["n"], "n", 1),
-                                        eps=eps, rho=rho, search=search,
-                                        certify=certify)
+                                        **_query_kw(job, args))
     system = _load_system(job["system"], args)
     return _query_on(system, _generator(system, job["generator"]), job, args)
 
@@ -377,10 +376,23 @@ def _load_curve(obj, args):
     if obj == "canonical_c0":
         return curves_mod.canonical_c0_curve()
     system = _load_system(obj["system"], args)
+    bound = obj.get("lipschitz_bound")
+    if isinstance(bound, (bool, str)):
+        raise ValueError("lipschitz_bound must be a number")
     return curves_mod.CoordinateCurve(
-        system, tuple(obj["amplitudes"]), tuple(obj["frequencies"]),
-        obj.get("waveform", "sine"), obj.get("lipschitz_bound"),
+        system, _numbers(obj["amplitudes"], "amplitudes"),
+        _numbers(obj["frequencies"], "frequencies"),
+        obj.get("waveform", "sine"), bound,
         require_type(obj.get("label", "curve"), str, "curve label"))
+
+
+def _numbers(values, key):
+    """values, unless an entry is a bool or a string (float() reads both)."""
+    for v in values:
+        if isinstance(v, (bool, str)):
+            raise ValueError(f"{key} entries must be numbers, not "
+                             + ("bools" if isinstance(v, bool) else "strings"))
+    return values
 
 
 def cmd_curves(args, job):
@@ -389,8 +401,8 @@ def cmd_curves(args, job):
     if ts == "canonical":
         ts = curves_mod.canonical_grid(
             require_int(job.get("grid_points", 100), "grid_points", 1))
-    elif any(isinstance(t, bool) for t in ts):
-        raise ValueError("ts entries must be numbers, not bools")
+    else:
+        _numbers(ts, "ts")
     m_range = job.get("m_range", [4, 14])
     if not isinstance(m_range, list) or len(m_range) != 2:
         raise ValueError("m_range must be a list of two ints")

@@ -22,7 +22,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -105,27 +104,33 @@ def verify_lipschitz(curve: CoordinateCurve, M: int = None, samples: int = 64,
     vals = [curve.values(t, M) for t in ts]
     L = curve.lipschitz_bound
     for i in range(samples):
-        diff = [Q(Fraction(a - b)) for a, b in zip(vals[i + 1], vals[i])]
+        diff = [Q(a - b) for a, b in zip(vals[i + 1], vals[i])]
         gap = _float_stage_norm(curve.system, M, diff)
         if gap > L * (ts[i + 1] - ts[i]) + tol:
             return False
     return True
 
 
+def _stage_values(curve: CoordinateCurve, t, steps, M) -> list:
+    """Stage-M coordinates of f(t), then of f(t + h) for each step h, after
+    the checks a difference quotient with step h needs."""
+    t, steps = float(t), [float(h) for h in steps]
+    for h in steps:
+        if h == 0.0:
+            raise ValueError("zero step")
+        if not (0.0 <= t <= 1.0 and 0.0 <= t + h <= 1.0):
+            raise ValueError("difference quotient endpoints outside [0, 1]")
+        if not 1 <= M <= curve.system.max_stage:
+            raise ValueError("stage outside the system range")
+    return [curve.values(t + h, M) for h in [0.0] + steps]
+
+
 def _quotient_tail(curve: CoordinateCurve, t, h, M) -> list:
     """Stage-M coordinates of (f(t + h) - f(t)) / h, float coordinates
     rationalized exactly: the tail that determines the difference quotient."""
-    t, h = float(t), float(h)
-    if h == 0.0:
-        raise ValueError("zero step")
-    if not (0.0 <= t <= 1.0 and 0.0 <= t + h <= 1.0):
-        raise ValueError("difference quotient endpoints outside [0, 1]")
-    if not 1 <= M <= curve.system.max_stage:
-        raise ValueError("stage outside the system range")
-    fw = curve.values(t + h, M)
-    bk = curve.values(t, M)
-    hq = Q(Fraction(h))
-    return [(Q(Fraction(a)) - Q(Fraction(b))) / hq for a, b in zip(fw, bk)]
+    bk, fw = _stage_values(curve, t, [h], M)
+    hq = Q(float(h))
+    return [(Q(a) - Q(b)) / hq for a, b in zip(fw, bk)]
 
 
 def difference_quotient(curve: CoordinateCurve, t, h, M) -> CompatibleVector:
@@ -149,10 +154,12 @@ class DiffQuotientReport:
 
 def scale_gap(curve: CoordinateCurve, t, m, M) -> float:
     """Consecutive-scale gap || D_{2^-m}(t) - D_{2^-m-1}(t) ||_M, read off
-    the stage-M tails alone (the lower stages do not enter the norm)."""
-    d1 = _quotient_tail(curve, t, 2.0**-m, M)
-    d2 = _quotient_tail(curve, t, 2.0**-(m + 1), M)
-    diff = [a - b for a, b in zip(d1, d2)]
+    the stage-M tails alone (the lower stages do not enter the norm).  With
+    h = 2^-m the difference is exactly the second difference
+    (f(t + h) - 2 f(t + h/2) + f(t)) 2^m of the float values."""
+    f0, f1, f2 = _stage_values(curve, t, [2.0**-m, 2.0**-(m + 1)], M)
+    scale = Q(2) ** m
+    diff = [(Q(a) - 2 * Q(b) + Q(c)) * scale for a, b, c in zip(f1, f2, f0)]
     return _float_stage_norm(curve.system, M, diff)
 
 

@@ -490,10 +490,10 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
     def proj(x):
         # x / nu(x) = x s_nu / f_nu(x), as D cancels (an LP gauge is a
         # rational g): integers over g's numerator.  int / int is the
-        # correctly rounded float (for mpz integers too), as to_float gives.
+        # correctly rounded float, as to_float gives.
         g = f_nu(x)
         e = tuple(c * s_nu * g.denominator for c in x)
-        return (e, g.numerator), [int(c) / int(g.numerator) for c in e]
+        return (e, g.numerator), [c / g.numerator for c in e]
 
     def sphere(points, tau_s):
         """Project (face, cube point) nodes to the nu sphere; keep those
@@ -509,7 +509,7 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
     def pair_terms(Va, Vu, ts, tau_p):
         """Over the (a, u, t) grid of the images Va, Vu and the levels ts:
         whether both pair terms exceed -tau_p, and min(prox, sep)."""
-        T = np.array([int(t) / int(Dt) for t in ts])
+        T = np.array([t / Dt for t in ts])
 
         def dist(i):
             c = fq.cols[i]

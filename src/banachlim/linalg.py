@@ -7,25 +7,26 @@ is a nonzero multiple of the rational one; a rational is built only for an
 entry a caller returns, as the integer over its row's pivot.
 
 Exact data that are combined many times (generator matrices, facet normals,
-grid lattices) also have a scaled form: a tuple of backend integers over one
+grid lattices) also have a scaled form: a tuple of integers over one
 positive denominator, the lcm of the entries' denominators.  Products and
 sums of scaled data are integer operations, with no gcd per operation (the
 rational kernels normalise one per operation); a rational is built once per
 result, by dividing by the denominator.  The form reads only .numerator and
-.denominator, so gmpy2 mpq entries give mpz numerators.
+.denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
-from .scalar import Q, RAT, ZERO, ONE
+from .scalar import Q, ZERO, ONE
 
 
 def vec(xs):
-    """xs as a tuple of exact rationals (backend rationals pass through)."""
-    return tuple(x if type(x) is RAT else Q(x) for x in xs)
+    """xs as a tuple of exact rationals (Fractions pass through)."""
+    return tuple(x if type(x) is Fraction else Q(x) for x in xs)
 
 
 def mat(rows):

@@ -1,9 +1,9 @@
 """Exact rational scalars.
 
 All norm values, matrix entries and LP pivots in this package are exact
-rationals.  gmpy2.mpq is used when available (roughly an order of magnitude
-faster than fractions.Fraction); the stdlib Fraction is the fallback.  Floats
-appear only as advisory shadows and in the derivative-free search fast paths.
+rationals of one type, the stdlib fractions.Fraction, named Q here.
+Floats appear only as advisory shadows and in the derivative-free search
+fast paths.
 """
 
 from __future__ import annotations
@@ -11,37 +11,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def Q(a=0, b=None):
-        if b is None:
-            if isinstance(a, float):
-                a = Fraction(a)
-            return _mpq(a)
-        return _mpq(a, b)
-
-    RAT_TYPES = (type(_mpq(0)), Fraction, int)
-except ImportError:
-    def Q(a=0, b=None):
-        if b is None:
-            return Fraction(a)
-        return Fraction(a, b)
-
-    RAT_TYPES = (Fraction, int)
-
+Q = Fraction
 ZERO = Q(0)
 ONE = Q(1)
-RAT = type(ONE)      # the backend rational type
 
 
 def parse_scalar(s):
     """Parse 'p/q', integer, or decimal strings into an exact rational."""
-    if isinstance(s, RAT_TYPES):
+    if isinstance(s, (bool, float)):
+        raise TypeError(f"refusing to parse a {type(s).__name__} as an "
+                        "exact scalar; pass a string or rational")
+    if isinstance(s, (Fraction, int)):
         return Q(s)
-    if isinstance(s, float):
-        raise TypeError("refusing to parse a float as an exact scalar; "
-                        "pass a string or rational")
     s = s.strip()
     if "/" in s:
         num, den = s.split("/")
@@ -49,7 +30,7 @@ def parse_scalar(s):
             raise ValueError(f"zero denominator in {s!r}")
         return Q(int(num), int(den))
     if "." in s or "e" in s or "E" in s:
-        return Q(Fraction(s))
+        return Q(s)
     return Q(int(s))
 
 
@@ -72,26 +53,22 @@ def require_type(v, kind, what):
 
 def format_scalar(q) -> str:
     """Serialize a rational as 'p' or 'p/q' (exact round trip)."""
-    q = Q(q)
-    num, den = q.numerator, q.denominator
-    if den == 1:
-        return str(num)
-    return f"{num}/{den}"
+    return str(Q(q))
 
 
 def to_float(q) -> float:
-    # int / int is correctly rounded: the float of the exact value.
-    return int(Q(q).numerator) / int(Q(q).denominator)
+    # Fraction.__float__ is numerator / denominator, correctly rounded.
+    return float(Q(q))
 
 
 def from_float(x: float):
     """Exact rational equal to the binary float x."""
-    return Q(Fraction(x))
+    return Q(x)
 
 
 def rationalize(x: float, max_den: int = 10**6):
     """Nearby small-denominator rational (used to promote search iterates)."""
-    return Q(Fraction(x).limit_denominator(max_den))
+    return Q(x).limit_denominator(max_den)
 
 
 def sqrt_bracket(q):

@@ -241,17 +241,18 @@ def _cauchy_onset(seq, j, tol_sq):
     """Least K <= len(seq) - 2 with the stage-j vectors p_k of seq[K:]
     pairwise within tol, else None.  Rows K are scanned from the end; the
     first with a far pair gives K + 1.  With s_k = ||p_k - p_last||^2, a
-    pair with 2 (s_a + s_b) <= tol^2 is within tol, as
-    (sqrt(s_a) + sqrt(s_b))^2 <= 2 (s_a + s_b)."""
+    pair with 2 (s_a + s_b) <= tol^2 is within tol by the triangle
+    inequality; all of row K passes when 2 (s_K + max s_b) <= tol^2."""
     space, pts = seq[0].system.stage(j), [project(cv, j) for cv in seq]
-    n, s = len(pts), [None] * len(pts)
+    n, s, top = len(pts), [None] * len(pts), ZERO
     for K in range(n - 2, -1, -1):
         s[K] = _dist_sq(space, pts[K], pts[-1])
-        if s[K] > tol_sq or not all(
+        if s[K] > tol_sq or 2 * (s[K] + top) > tol_sq and not all(
                 2 * (s[K] + s[b]) <= tol_sq
                 or _dist_sq(space, pts[K], pts[b]) <= tol_sq
                 for b in range(K + 1, n - 1)):
             return K + 1 if K + 1 < n - 1 else None
+        top = max(top, s[K])
     return 0 if n > 1 else None
 
 

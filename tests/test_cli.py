@@ -10,6 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from banachlim.cli import EXIT_BAD_INPUT, main
+from banachlim.determining import (RhoSchedule, prefix_obstruction_query,
+                                   verify_pair)
+from banachlim.scalar import Q
 from banachlim.systems import system_from_json, validate_standard
 
 
@@ -219,6 +222,20 @@ def test_determine_search_mode(tmp_path, capsys):
     code, out = _run(capsys, "determine", job3)
     assert code == 2
     assert _strict_loads(out)["search"]["best_margin"] > -1
+
+
+def test_canonical_job_reads_its_rho(tmp_path, capsys):
+    job = _write(tmp_path, "q.json", {
+        "canonical": "prefix_obstruction", "n": 2, "rho": ["1/2", "1/3"],
+        "mode": "search"})
+    code, out = _run(capsys, "determine", job)
+    assert code == 1
+    report = _strict_loads(out)
+    assert report["rho"] == ["1/2", "1/3"]
+    cx = report["search"]["counterexample"]
+    q = prefix_obstruction_query(2, rho=RhoSchedule((Q(1, 2), Q(1, 3))))
+    assert verify_pair(q, [Q(x) for x in cx["a"]],
+                       [Q(x) for x in cx["a_prime"]]) is not None
 
 
 def test_reports_byte_identical(tmp_path, capsys):
@@ -723,6 +740,36 @@ _BAD_FIELDS = {
 }
 
 
+def _weighted_map(weight):
+    source = dict(_SQUARE_MAP["source"], spec=dict(
+        _SQUARE_MAP["source"]["spec"], weights=[weight, "1"]))
+    return dict(_SQUARE_MAP, source=source)
+
+
+# Exact scalars given as a JSON bool (once read as 0 or 1) or a float.
+_BAD_SCALARS = {
+    "bool-eps": ("determine", dict(_search_job(starts=1), eps=True)),
+    "float-eps": ("determine", dict(_search_job(starts=1), eps=0.5)),
+    "bool-rho": ("determine", dict(_search_job(starts=1), rho=[True])),
+    "bool-canonical-eps": ("determine", dict(_certify_job(), eps=True)),
+    "bool-delta": ("determine", _certify_job(delta=True)),
+    "bool-norms-entry": ("norms", {
+        "system": {"builtin": "l1_drop", "stages": 2},
+        "vectors": [["1", True]]}),
+    "bool-space-weight": ("opnorm", _weighted_map(True)),
+    "bool-map-entry": ("opnorm", dict(_SQUARE_MAP,
+                                      matrix=[[True, "1"], ["1", "-1"]])),
+    "bool-tol": ("anp-dp", {"system": {"builtin": "l1_drop", "stages": 2},
+                            "sequence": [["1", "0"]], "tol": True}),
+}
+
+
+def _curve_job(**curve):
+    """_CURVE_JOB with fields of its curve replaced."""
+    job = json.loads(_CURVE_JOB)
+    return dict(job, curve=dict(job["curve"], **curve))
+
+
 # Well-formed jobs that a library guard refuses, each with its message.
 _GUARDED = {
     "unknown-builtin-system": ("validate", {"builtin": "nope", "stages": 2},
@@ -756,6 +803,26 @@ _GUARDED = {
     "curves-bool-ts": ("curves", dict(json.loads(_CURVE_JOB),
                                       ts=[0.0, True]),
                        "ts entries must be numbers, not bools"),
+    "curves-string-ts": ("curves", dict(json.loads(_CURVE_JOB), ts=["0.5"]),
+                         "ts entries must be numbers, not strings"),
+    "curves-bool-amplitude": ("curves", _curve_job(
+        amplitudes=[True, "2", 1, 0, 0]),
+        "amplitudes entries must be numbers, not bools"),
+    "curves-string-amplitudes": ("curves", _curve_job(amplitudes="00000"),
+                                 "amplitudes entries must be numbers, not "
+                                 "strings"),
+    "curves-string-frequency": ("curves", _curve_job(
+        frequencies=[1, 1, "1", 1, 1]),
+        "frequencies entries must be numbers, not strings"),
+    "curves-string-lipschitz-bound": ("curves", _curve_job(
+        lipschitz_bound="2"), "lipschitz_bound must be a number"),
+    "curves-bool-lipschitz-bound": ("curves", _curve_job(
+        lipschitz_bound=True), "lipschitz_bound must be a number"),
+    "unknown-canonical-query": ("determine", dict(
+        _certify_job(), canonical="prefix"),
+        "unknown canonical query 'prefix'"),
+    "unknown-mode": ("determine", dict(_search_job(starts=1), mode="sweep"),
+                     "unknown mode 'sweep'"),
 }
 
 
@@ -782,7 +849,8 @@ _GUARDED = {
     ("determine", json.dumps(dict(_certify_job(), search=[])), []),
 ] + [("validate", json.dumps(job), []) for job, _ in _BAD_SYSTEMS.values()]
     + [(command, json.dumps(job), [])
-       for command, job in (*_BAD_INTS.values(), *_BAD_FIELDS.values())]
+       for command, job in (*_BAD_INTS.values(), *_BAD_FIELDS.values(),
+                            *_BAD_SCALARS.values())]
     + [(command, json.dumps(job), []) for command, job, _ in
        _GUARDED.values()],
     ids=["unreadable", "malformed-json", "zero-denominator", "top-level-list",
@@ -793,7 +861,7 @@ _GUARDED = {
         "certify-negative-budget", "certify-zero-dim-cap",
         "certify-string-dim-cap", "certify-dim-cap-field",
         "search-not-an-object"] + list(_BAD_SYSTEMS) + list(_BAD_INTS)
-    + list(_BAD_FIELDS) + list(_GUARDED))
+    + list(_BAD_FIELDS) + list(_BAD_SCALARS) + list(_GUARDED))
 def test_bad_inputs_exit_three(tmp_path, capsys, command, text, extra):
     path = tmp_path / "job.json"
     if text is not None:
@@ -886,6 +954,9 @@ _json_values = st.recursive(
         st.sampled_from(["kind", "p", "dim", "spec", "weights", "x"]),
         kids, max_size=3),
     max_leaves=6)
+# Valid replacements: a label string, small counts and a rational, so that
+# some mutated jobs still run and reach the report path.
+_valid_values = st.sampled_from(["y", 1, 2, "1/3"])
 
 
 def _paths(obj, prefix=()):
@@ -910,7 +981,8 @@ def _replaced(obj, path, value):
 def test_malformed_jobs_never_escape_the_exit_codes(tmp_path_factory, data):
     command, job = data.draw(st.sampled_from(_CHEAP_JOBS))
     path = data.draw(st.sampled_from(list(_paths(job))))
-    text = json.dumps(_replaced(job, path, data.draw(_json_values)))
+    text = json.dumps(_replaced(job, path,
+                                data.draw(_valid_values | _json_values)))
     if data.draw(st.booleans()):
         text = text[:data.draw(st.integers(0, len(text) - 1))]
     job_path = tmp_path_factory.mktemp("job") / "job.json"

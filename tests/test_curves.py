@@ -99,6 +99,21 @@ def test_difference_quotient_domain_checks():
         difference_quotient(curve, 0.5, 0.25, 7)  # beyond system cap
 
 
+def test_curve_values_and_oracle_guards():
+    curve = _linear_curve()
+    for t in (-0.25, 1.5):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            curve.values(t, 3)
+    square = {"dim": 2, "spec": {"kind": "hpoly",
+                                 "functionals": [["1", "0"], ["0", "1"]]}}
+    line = {"dim": 1, "spec": {"kind": "hpoly", "functionals": [["1"]]}}
+    poly = CoordinateCurve(system_from_json(
+        {"spaces": [line, square], "bonds": [[["1", "0"]]]}),
+        (1.0, 1.0), (1.0, 2.0))
+    with pytest.raises(ValueError, match="sequence-space norms only"):
+        coordinate_gap_oracle(poly, 0.5, 2, 2)
+
+
 def test_difference_quotient_c0_closed_form():
     curve = canonical_c0_curve(12)
     m = 5

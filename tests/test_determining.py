@@ -2,13 +2,14 @@ import functools
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from banachlim import determining, linalg
-from banachlim.scalar import Q, RAT, ZERO, ONE
+from banachlim.scalar import Q, ZERO, ONE
 from banachlim.space import hpoly_space, lp_space, norm_eval, vpoly_space
 from banachlim.linmap import linear_map
 from banachlim.systems import (InverseSystem, SubspaceGenerator,
@@ -229,8 +230,9 @@ def _oracle_query(rng, kind, dense):
 
 def _assert_rational_fields(cx):
     for vec in (cx.a, cx.a_prime, cx.v, cx.v_prime) + cx.tail_slacks:
-        assert type(vec) is tuple and all(type(x) is RAT for x in vec)
-    assert type(cx.proximity_slack) is RAT and type(cx.violation) is RAT
+        assert type(vec) is tuple and all(type(x) is Fraction for x in vec)
+    assert (type(cx.proximity_slack) is Fraction
+            and type(cx.violation) is Fraction)
 
 
 def _check_against_reference(q, a, b):
@@ -344,6 +346,11 @@ def test_parameter_space_pullback_l1_signs():
 def test_l1_pullback_refuses_too_many_sign_patterns():
     with pytest.raises(ValueError, match="too many sign patterns"):
         determining._pullback(lp_space(1, dim=14), [[ONE]] * 14)
+
+
+def test_vpoly_pullback_needs_a_square_generator():
+    with pytest.raises(ValueError, match="cannot pull a vpoly norm back"):
+        determining._pullback(vpoly_space([(1, 0), (0, 1)]), [[ONE], [ONE]])
 
 
 def test_parameter_space_pullback_hpoly_stages():

@@ -4,11 +4,12 @@ elimination against Gauss-Jordan over the rationals."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from banachlim import linalg
-from banachlim.scalar import Q, RAT, ZERO, ONE
+from banachlim.scalar import Q, ZERO, ONE
 from banachlim.space import (hpoly_space, hull_gauge, lp_space, norm_eval,
                              norm_eval_sq, vpoly_space)
 from banachlim.systems import generator_from_tail, l1_drop_system
@@ -34,7 +35,7 @@ def test_round_trip_to_rationals():
             # The denominator is the lcm of the entries' denominators.
             assert c == math.lcm(*(v.denominator for v in x))
             back = linalg.unscale(nums, c)
-            assert back == x and all(type(v) is RAT for v in back)
+            assert back == x and all(type(v) is Fraction for v in back)
 
 
 def test_zero_empty_and_negative_vectors():
@@ -43,7 +44,7 @@ def test_zero_empty_and_negative_vectors():
     assert linalg.scaled((ZERO, ZERO)) == ((0, 0), 1)
     assert linalg.scaled((Q(-1, 2), Q(1, 3), Q(-5))) == ((-3, 2, -30), 6)
     back = linalg.unscale((-3, 0), 6)
-    assert back == (Q(-1, 2), ZERO) and all(type(v) is RAT for v in back)
+    assert back == (Q(-1, 2), ZERO) and all(type(v) is Fraction for v in back)
     # Ints are rationals with denominator 1.
     assert linalg.scaled((2, -3)) == ((2, -3), 1)
 
@@ -57,8 +58,8 @@ def test_scaled_rows_share_one_denominator():
 
 
 class _Ratio:
-    """Numerator and denominator only, as a backend rational exposes them
-    (gmpy2 mpq gives mpz ones): no rational arithmetic at all."""
+    """Numerator and denominator only, as a rational exposes them: no
+    rational arithmetic at all."""
 
     def __init__(self, num, den):
         self.numerator, self.denominator = num, den
@@ -98,8 +99,8 @@ def test_norm_eval_returns_a_rational_on_every_spec_kind():
     for sp in _spaces():
         for x in ((ZERO,) * sp.dim, (1,) * sp.dim,
                   _random_vector(rng, sp.dim, 10**6)):
-            assert type(norm_eval(sp, x)) is RAT
-            assert type(norm_eval_sq(sp, x)) is RAT
+            assert type(norm_eval(sp, x)) is Fraction
+            assert type(norm_eval_sq(sp, x)) is Fraction
             assert norm_eval(sp, x) >= 0
 
 
@@ -112,9 +113,9 @@ def test_gauges_above_the_facet_dimension_are_rational(monkeypatch):
     # (1/3, -2, 23/84) of x in them.
     x = (Q(1, 3), Q(-2), Q(5, 7))
     value = norm_eval(sp, x)
-    assert type(value) is RAT and value == Q(73, 28)
+    assert type(value) is Fraction and value == Q(73, 28)
     gauge = hull_gauge(sp.spec.vertices, 3)
-    assert type(gauge(x)) is RAT and gauge(x) == value
+    assert type(gauge(x)) is Fraction and gauge(x) == value
 
 
 @pytest.mark.parametrize("p", ["1", "2", "inf"])
@@ -222,8 +223,8 @@ def test_elimination_with_negative_pivots_and_dependent_rows():
         linalg.inverse(A)
     B = [(-3, 1), (Q(1, 10**6), Q(-7, 999983))]
     assert linalg.inverse(B) == inverse_reference(B)
-    assert all(type(v) is RAT for r in linalg.inverse(B) for v in r)
-    assert all(type(v) is RAT for v in linalg.solve(B, (1, 0)))
+    assert all(type(v) is Fraction for r in linalg.inverse(B) for v in r)
+    assert all(type(v) is Fraction for v in linalg.solve(B, (1, 0)))
     assert linalg.nullspace(A) == nullspace_reference(A)
 
 

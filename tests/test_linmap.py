@@ -37,6 +37,15 @@ def test_identity_opnorm_l1():
     assert res.value == 1
 
 
+def test_opnorm_into_the_zero_space_and_above_the_cap():
+    assert operator_norm(linear_map(lp_space(2, dim=1), lp_space(2, dim=0),
+                                    [])).value == 0
+    cross = NormedSpace(9, VPolytope(linalg.identity(9)))
+    with pytest.raises(space.NormSpecError, match="exceeds"):
+        operator_norm(linear_map(lp_space(2, dim=9), cross,
+                                 linalg.identity(9)))
+
+
 def test_opnorm_linf_to_l1():
     T = linear_map(lp_space("inf", dim=2), lp_space(1, dim=1), [[1, 1]])
     res = operator_norm(T)

@@ -2,19 +2,20 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from banachlim import linalg, space
 from banachlim.determining import _FloatNorms
-from banachlim.scalar import Q, RAT, ZERO, ONE, to_float
+from banachlim.scalar import Q, ZERO, ONE, to_float
 from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              NormedSpace, NormSpecError, VPolytope,
                              ball_extreme_points, dual_space, hpoly_space,
                              hull_gauge, lp_space, norm_eval, norm_eval_sq,
-                             space_from_json, space_to_json,
-                             validate_norm_spec, vpoly_space)
+                             space_from_json, space_to_json, spec_from_json,
+                             spec_to_json, validate_norm_spec, vpoly_space)
 
 from oracles import (gauge_by_ray_bisection, halfspace_polytope_reference,
                      irredundant_reference, lower_enumeration_caps,
@@ -71,6 +72,15 @@ def test_validate_norm_degenerate():
                        "weight count != dim; weights must be strictly "
                        "positive$"):
         validate_norm_spec(LpNorm("3", (-ONE,)), 2)
+
+
+def test_unknown_specs_are_refused():
+    with pytest.raises(NormSpecError, match="^unknown norm kind 'ball'$"):
+        spec_from_json({"kind": "ball"})
+    with pytest.raises(NormSpecError, match="^unknown spec object$"):
+        validate_norm_spec(object(), 2)
+    with pytest.raises(NormSpecError, match="^unknown spec object$"):
+        spec_to_json(object())
 
 
 def test_gauge_against_ray_bisection_oracle():
@@ -403,7 +413,7 @@ def test_enumeration_matches_the_fraction_reference_in_order():
             linalg.scaled_rows([pt for pt, _ in want])
         got = ball_extreme_points(NormedSpace(dim, HPolytope(rows)))
         assert got == [pt for pt, _ in want]
-        assert all(type(v) is RAT for pt in got for v in pt)
+        assert all(type(v) is Fraction for pt in got for v in pt)
 
 
 def test_specs_built_from_lists_evaluate():

@@ -220,6 +220,11 @@ def test_systems_refuse_out_of_range_input():
     assert diagonal_subsequence([], Q(1, 10)) == []
 
 
+def test_compatible_from_tail_checks_the_tail_length():
+    with pytest.raises(StageError, match="tail vector has wrong dimension"):
+        compatible_from_tail(l1_drop_system(3), (ONE, ZERO))
+
+
 def test_wrong_stage_rejected_at_depth():
     M = 60
     system = linf_drop_system(M)
