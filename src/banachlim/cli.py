@@ -5,11 +5,11 @@ Every report embeds a run manifest (command, inputs, seed, caps,
 tolerances, output path) and is serialized with sorted keys and no
 timestamps, so identical manifests produce byte-identical reports.
 Rational scalars travel as 'p/q' strings; floats appear only in the
-curve experiments.
+curve experiments.  Each command's job is read by one rule (COMMANDS).
 
 Exit codes: `validate` and the map checks return 0 (pass) / 1 (fail);
 `determine` returns 0 / 1 / 2 for certificate / counterexample /
-undecided; malformed inputs and an unwritable --out exit with 3.
+undecided; malformed inputs and flags and an unwritable --out exit with 3.
 """
 
 import argparse
@@ -20,8 +20,7 @@ import os
 import sys
 import tempfile
 
-from .scalar import (format_scalar, parse_scalar, require_int, require_type,
-                     to_float)
+from .scalar import Q, format_scalar, read, to_float
 from .space import space_from_json
 from .linmap import (is_isometric_embedding, is_quotient_map, linear_map,
                      operator_norm)
@@ -93,27 +92,21 @@ def _load_job(path):
     except json.JSONDecodeError as e:
         raise ValueError(
             f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from e
-    if not isinstance(job, dict):
-        raise ValueError(f"{path}: a job must be a JSON object")
     return job
 
 
-def _truncate(system, max_stage):
-    if max_stage is None or max_stage >= system.max_stage:
+def _truncate(system, args):
+    """system, cut to --max-stage stages when the flag gives fewer."""
+    if args.max_stage is None or args.max_stage >= system.max_stage:
         return system
-    if max_stage < 1:
-        raise ValueError("--max-stage must be at least 1")
     truncated = copy.copy(system)
-    truncated.max_stage = max_stage
+    truncated.max_stage = args.max_stage
     return truncated
 
 
-def _load_system(obj, args):
-    return _truncate(system_from_json(obj), args.max_stage)
-
-
-def _vec(values):
-    return tuple(parse_scalar(v) for v in values)
+def _or_none(rule):
+    """rule, or a JSON null: the key's default."""
+    return lambda v, path: None if v is None else read(v, rule, path)
 
 
 def _fmt_vec(v):
@@ -147,10 +140,10 @@ def _counterexample_out(cx):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each gets its job as read by its rule in COMMANDS.
 
-def cmd_validate(args, job):
-    system = _load_system(job, args)
+def cmd_validate(args, system):
+    system = _truncate(system, args)
     verdicts = validate_standard(system)
     passed = all(v.lipschitz_ok and v.quotient_ok is not False
                  for v in verdicts)
@@ -167,12 +160,11 @@ def cmd_validate(args, job):
     }, 0 if passed else 1
 
 
-def cmd_dualize(args, job):
-    dual = dualize(_load_system(job, args))
+def cmd_dualize(args, system):
+    dual = dualize(_truncate(system, args))
     payload = system_to_json(dual)
     if args.out:
-        _write_atomic(args.out,
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(payload, args.out)
         # --out holds the dual system itself; the report goes to stdout.
         args.out = None
         report = {"written": True, "dual_label": dual.label,
@@ -182,14 +174,18 @@ def cmd_dualize(args, job):
     return report, 0
 
 
+def _echoed(tail, path):
+    """A tail's exact scalars, with the tail as given, which norms echoes."""
+    return tail, read(tail, [Q], path)
+
+
 def cmd_norms(args, job):
-    system = _load_system(job["system"], args)
+    system = _truncate(job["system"], args)
     rows = []
-    for tail in job["vectors"]:
-        cv = compatible_from_tail(system, _vec(tail))
-        rep = stage_norms(cv)
+    for text, tail in job["vectors"]:
+        rep = stage_norms(compatible_from_tail(system, tail))
         rows.append({
-            "tail": list(tail),
+            "tail": text,
             "stage_norms": [_scalar_out(n) for n in rep.norms],
             "limit_lower_bound": _scalar_out(rep.limit_estimate),
             "limit": _scalar_out(rep.limit) if rep.limit is not None
@@ -199,15 +195,8 @@ def cmd_norms(args, job):
             "vectors": rows}, 0
 
 
-def _load_map(job):
-    source = space_from_json(job["source"])
-    target = space_from_json(job["target"])
-    rows = [[parse_scalar(v) for v in row] for row in job["matrix"]]
-    return linear_map(source, target, rows)
-
-
 def cmd_opnorm(args, job):
-    T = _load_map(job)
+    T = linear_map(job["source"], job["target"], job["matrix"])
     res = operator_norm(T)
     return {
         "source": T.source.label, "target": T.target.label,
@@ -219,7 +208,7 @@ def cmd_opnorm(args, job):
 
 
 def cmd_quotient_check(args, job):
-    T = _load_map(job)
+    T = linear_map(job["source"], job["target"], job["matrix"])
     qv = is_quotient_map(T)
     ev = is_isometric_embedding(T)
     return {
@@ -229,63 +218,58 @@ def cmd_quotient_check(args, job):
     }, 0 if qv.verdict else 1
 
 
-def _query_kw(job, args):
-    """DeterminingQuery keywords of a job: its SearchConfig (seed overridden
-    by --seed) and CertifyConfig, and its rho and eps where it gives them."""
-    kw = {}
-    for key, cls in (("search", SearchConfig), ("certify", CertifyConfig)):
-        obj = job.get(key, {})
-        if not isinstance(obj, dict):
-            raise ValueError(f'"{key}" must be a JSON object')
-        allowed = sorted(f.name for f in dataclasses.fields(cls))
-        unknown = sorted(set(obj) - set(allowed))
-        if unknown:
-            raise ValueError(f'unknown key in "{key}": {", ".join(unknown)} '
-                             f'(allowed: {", ".join(allowed)})')
-        kw[key] = dict(obj)
-    kw["search"] = SearchConfig(**kw["search"])
-    if args.seed is not None:
-        kw["search"] = dataclasses.replace(kw["search"], seed=args.seed)
-    if "delta" in kw["certify"]:
-        kw["certify"]["delta"] = parse_scalar(kw["certify"]["delta"])
-    kw["certify"] = CertifyConfig(**kw["certify"])
-    if "rho" in job:
-        kw["rho"] = RhoSchedule(tuple(parse_scalar(r) for r in job["rho"]))
-    if "eps" in job:
-        kw["eps"] = parse_scalar(job["eps"])
-    return kw
+def _generator(value, path):
+    """{"tail": the top-stage matrix}, or the list of the stage matrices."""
+    return read(value, {"tail": [[Q]]} if type(value) is dict else [[[Q]]],
+                path)
 
 
-def _query_on(system, gen, job, args):
-    """The DeterminingQuery of a job's rho, eps and eval_stage on gen."""
-    kw = _query_kw(job, args)
-    return DeterminingQuery(system, gen, kw.pop("rho"), kw.pop("eps"),
-                            require_int(job.get("eval_stage", gen.top_stage),
-                                        "eval_stage", 1), **kw)
+def _system_and_generator(job, args):
+    system, g = _truncate(job["system"], args), job["generator"]
+    return system, (generator_from_tail(system, g["tail"]) if type(g) is dict
+                    else SubspaceGenerator(system, g))
 
 
-def _generator(system, obj):
-    """A job's generator: {"tail": top-stage matrix}, or the list of its
-    stage matrices."""
-    if isinstance(obj, dict) and "tail" in obj:
-        return generator_from_tail(system, [_vec(row) for row in obj["tail"]])
-    return SubspaceGenerator(system, [[_vec(row) for row in mat]
-                                      for mat in obj])
+def _search(query, args):
+    """A query's SearchConfig, its seed overridden by --seed."""
+    s = query["search"]
+    return s if args.seed is None else dataclasses.replace(s, seed=args.seed)
 
 
-def _parse_query(job, args):
-    if "canonical" in job:
-        if job["canonical"] != "prefix_obstruction":
-            raise ValueError(f"unknown canonical query {job['canonical']!r}")
-        return prefix_obstruction_query(require_int(job["n"], "n", 1),
-                                        **_query_kw(job, args))
-    system = _load_system(job["system"], args)
-    return _query_on(system, _generator(system, job["generator"]), job, args)
+def _query_on(system, gen, query, args):
+    """The DeterminingQuery of a job's (or gfda query's) fields on gen."""
+    return DeterminingQuery(system, gen, RhoSchedule(query["rho"]),
+                            query["eps"], query["eval_stage"] or gen.top_stage,
+                            _search(query, args), query["certify"])
+
+
+_CONFIGS = {"search": (SearchConfig, SearchConfig()),
+            "certify": (CertifyConfig, CertifyConfig())}
+_QUERY = {"rho": [Q], "eps": Q, "eval_stage": (1, None), **_CONFIGS}
+_CANONICAL = {"canonical": str, "n": 1, "rho": ([Q], None),
+              "eps": (Q, Q(1, 2)), "mode": (str, "certify"), **_CONFIGS}
+_EXPLICIT = {"system": system_from_json, "generator": _generator,
+             "mode": (str, "certify"), **_QUERY}
+
+
+def _determine_job(job, path):
+    """A canonical query, by name and size, or an explicit one."""
+    return read(job, _CANONICAL if type(job) is dict and "canonical" in job
+                else _EXPLICIT, path)
 
 
 def cmd_determine(args, job):
-    q = _parse_query(job, args)
-    mode = job.get("mode", "certify")
+    if "canonical" not in job:
+        q = _query_on(*_system_and_generator(job, args), job, args)
+    elif job["canonical"] != "prefix_obstruction":
+        raise ValueError(
+            f"job.canonical: unknown canonical query {job['canonical']!r}")
+    else:
+        rho = None if job["rho"] is None else RhoSchedule(job["rho"])
+        q = prefix_obstruction_query(job["n"], job["eps"], rho,
+                                     search=_search(job, args),
+                                     certify=job["certify"])
+    mode = job["mode"]
     report = {"eval_stage": q.eval_stage, "eps": format_scalar(q.eps),
               "rho": [format_scalar(r) for r in q.rho.values],
               "mode": mode}
@@ -299,7 +283,7 @@ def cmd_determine(args, job):
         }
         return report, 1 if res.kind == "counterexample" else 2
     if mode != "certify":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"job.mode: unknown mode {mode!r}")
     res = eps_determining_certify(q)
     report["certify"] = _certify_out(res)
     code = {"certificate": 0, "counterexample": 1, "undecided": 2}[res.kind]
@@ -318,12 +302,10 @@ def _certify_out(res):
 
 
 def cmd_gfda_check(args, job):
-    system = _load_system(job["system"], args)
-    gen = _generator(system, job["generator"])
-    query = (_query_on(system, gen, job["query"], args) if "query" in job
+    system, gen = _system_and_generator(job, args)
+    query = (_query_on(system, gen, job["query"], args) if job["query"]
              else None)
-    rep = gfda_check(system, gen, require_int(job["stages"], "stages", 1),
-                     query)
+    rep = gfda_check(system, gen, job["stages"], query)
     return {
         "system": system.label,
         "stage_verdicts": [_map_verdict_out(v) for v in rep.stage_verdicts],
@@ -349,11 +331,9 @@ def _diag_out(d):
 
 
 def cmd_anp_dp(args, job):
-    system = _load_system(job["system"], args)
-    tol = parse_scalar(args.tol if args.tol is not None
-                       else job.get("tol", "1/1000000"))
-    seq = [compatible_from_tail(system, _vec(tail))
-           for tail in job["sequence"]]
+    system = _truncate(job["system"], args)
+    tol = job["tol"] if args.tol is None else read(args.tol, Q, "--tol")
+    seq = [compatible_from_tail(system, tail) for tail in job["sequence"]]
     dp = dp_diagnostic(seq, tol)
     anp = anp_diagnostic(seq, tol)
     report = {"system": system.label, "dp": _diag_out(dp),
@@ -370,45 +350,37 @@ def cmd_anp_dp(args, job):
     return report, 0
 
 
-def _load_curve(obj, args):
-    if obj == "canonical_l1":
-        return curves_mod.canonical_l1_curve()
-    if obj == "canonical_c0":
-        return curves_mod.canonical_c0_curve()
-    system = _load_system(obj["system"], args)
-    bound = obj.get("lipschitz_bound")
-    if isinstance(bound, (bool, str)):
-        raise ValueError("lipschitz_bound must be a number")
-    return curves_mod.CoordinateCurve(
-        system, _numbers(obj["amplitudes"], "amplitudes"),
-        _numbers(obj["frequencies"], "frequencies"),
-        obj.get("waveform", "sine"), bound,
-        require_type(obj.get("label", "curve"), str, "curve label"))
+_CURVES = {"canonical_l1": curves_mod.canonical_l1_curve,
+           "canonical_c0": curves_mod.canonical_c0_curve}
+# The fields of a CoordinateCurve; its system is cut to --max-stage.
+_CURVE = {"system": system_from_json, "amplitudes": [float],
+          "frequencies": [float], "waveform": (str, "sine"),
+          "lipschitz_bound": (_or_none(float), None), "label": (str, "curve")}
 
 
-def _numbers(values, key):
-    """values, unless an entry is a bool or a string (float() reads both)."""
-    for v in values:
-        if isinstance(v, (bool, str)):
-            raise ValueError(f"{key} entries must be numbers, not "
-                             + ("bools" if isinstance(v, bool) else "strings"))
-    return values
+def _curve(value, path):
+    """A canonical curve by name, or the fields of a CoordinateCurve."""
+    if type(value) is str and value in _CURVES:
+        return _CURVES[value]()
+    return read(value, _CURVE, path)
+
+
+def _ts(value, path):
+    """The sample points: "canonical" (the canonical grid) or a list."""
+    return value if value == "canonical" else read(value, [float], path)
 
 
 def cmd_curves(args, job):
-    curve = _load_curve(job["curve"], args)
-    ts = job.get("ts", "canonical")
-    if ts == "canonical":
-        ts = curves_mod.canonical_grid(
-            require_int(job.get("grid_points", 100), "grid_points", 1))
-    else:
-        _numbers(ts, "ts")
-    m_range = job.get("m_range", [4, 14])
-    if not isinstance(m_range, list) or len(m_range) != 2:
-        raise ValueError("m_range must be a list of two ints")
-    lo, hi = (require_int(m, "m_range entry") for m in m_range)
-    M = job.get("stage")
-    M = None if M is None else require_int(M, "stage", 1)
+    curve = job["curve"]
+    if type(curve) is dict:
+        curve = curves_mod.CoordinateCurve(
+            **dict(curve, system=_truncate(curve["system"], args)))
+    ts = (curves_mod.canonical_grid(job["grid_points"])
+          if job["ts"] == "canonical" else job["ts"])
+    if len(job["m_range"]) != 2:
+        raise ValueError("job.m_range must be a list of two ints")
+    lo, hi = job["m_range"]
+    M = job["stage"]
     if args.max_stage is not None:
         M = min(M or args.max_stage, args.max_stage)
     rep = curves_mod.differentiability_scan(curve, ts, range(lo, hi + 1), M)
@@ -418,25 +390,36 @@ def cmd_curves(args, job):
     return json.loads(curves_mod.report_to_json(rep)), 0
 
 
-HANDLERS = {
-    "validate": cmd_validate,
-    "dualize": cmd_dualize,
-    "norms": cmd_norms,
-    "opnorm": cmd_opnorm,
-    "quotient-check": cmd_quotient_check,
-    "determine": cmd_determine,
-    "gfda-check": cmd_gfda_check,
-    "anp-dp": cmd_anp_dp,
-    "curves": cmd_curves,
+_MAP = {"source": space_from_json, "target": space_from_json, "matrix": [[Q]]}
+# command -> (the rule its job is read by, the handler of the read job)
+COMMANDS = {
+    "validate": (system_from_json, cmd_validate),
+    "dualize": (system_from_json, cmd_dualize),
+    "norms": ({"system": system_from_json, "vectors": [_echoed]}, cmd_norms),
+    "opnorm": (_MAP, cmd_opnorm),
+    "quotient-check": (_MAP, cmd_quotient_check),
+    "determine": (_determine_job, cmd_determine),
+    "gfda-check": ({"system": system_from_json, "generator": _generator,
+                    "stages": 1, "query": (_QUERY, None)}, cmd_gfda_check),
+    "anp-dp": ({"system": system_from_json, "sequence": [[Q]],
+                "tol": (Q, Q(1, 10**6))}, cmd_anp_dp),
+    "curves": ({"curve": _curve, "ts": (_ts, "canonical"),
+                "grid_points": (1, 100), "m_range": ([int], (4, 14)),
+                "stage": (_or_none(1), None)}, cmd_curves),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):     # bad input: exit 3, without usage text
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="banachlim",
         description="Exact computations on finite-stage Banach-space "
                     "inverse/direct systems.")
-    parser.add_argument("command", choices=sorted(HANDLERS),
+    parser.add_argument("command", choices=sorted(COMMANDS),
                         help="operation to run")
     parser.add_argument("input", help="JSON job description")
     parser.add_argument("--seed", type=int, default=None,
@@ -451,11 +434,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    manifest = _manifest(args)
     try:
-        job = _load_job(args.input)
-        report, code = HANDLERS[args.command](args, job)
+        args = build_parser().parse_args(argv)
+        read(args.max_stage, _or_none(1), "--max-stage")
+        read(args.tol, _or_none(Q), "--tol")
+        manifest = _manifest(args)
+        rule, handler = COMMANDS[args.command]
+        report, code = handler(args, read(_load_job(args.input), rule))
         report["manifest"] = manifest
         _emit(report, args.out)
     except _BAD_INPUT as e:

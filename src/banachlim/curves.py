@@ -90,27 +90,6 @@ class CoordinateCurve:
         return tuple(self.coordinate(k, t) for k in range(1, M + 1))
 
 
-def _float_stage_norm(system, M, x):
-    """||x||_M of an exact stage-M vector, as a float."""
-    return to_float(norm_eval(system.stage(M), x))
-
-
-def verify_lipschitz(curve: CoordinateCurve, M: int = None, samples: int = 64,
-                     tol: float = 1e-9) -> bool:
-    """Check the declared Lipschitz bound on adjacent sample-grid pairs:
-    ||f(t) - f(s)||_M <= L |t - s| + tol."""
-    M = M if M is not None else curve.system.max_stage
-    ts = [i / samples for i in range(samples + 1)]
-    vals = [curve.values(t, M) for t in ts]
-    L = curve.lipschitz_bound
-    for i in range(samples):
-        diff = [Q(a - b) for a, b in zip(vals[i + 1], vals[i])]
-        gap = _float_stage_norm(curve.system, M, diff)
-        if gap > L * (ts[i + 1] - ts[i]) + tol:
-            return False
-    return True
-
-
 def _stage_values(curve: CoordinateCurve, t, steps, M) -> list:
     """Stage-M coordinates of f(t), then of f(t + h) for each step h, after
     the checks a difference quotient with step h needs."""
@@ -160,7 +139,7 @@ def scale_gap(curve: CoordinateCurve, t, m, M) -> float:
     f0, f1, f2 = _stage_values(curve, t, [2.0**-m, 2.0**-(m + 1)], M)
     scale = Q(2) ** m
     diff = [(Q(a) - 2 * Q(b) + Q(c)) * scale for a, b, c in zip(f1, f2, f0)]
-    return _float_stage_norm(curve.system, M, diff)
+    return to_float(norm_eval(curve.system.stage(M), diff))
 
 
 def _classify(gaps, ms):

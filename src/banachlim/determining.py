@@ -77,7 +77,7 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    delta: object = Q(1, 20)
+    delta: Q = Q(1, 20)
     refine_rounds: int = 3
     # Abstract work units (grid cells; exact pair verifications weigh
     # _VERIFY_COST each).  Near-boundary instances can otherwise cascade

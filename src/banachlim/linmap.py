@@ -96,14 +96,6 @@ def linear_map(source, target, rows) -> LinearMap:
     return LinearMap(source, target, rows)
 
 
-def compose(S: LinearMap, T: LinearMap) -> LinearMap:
-    """S after T."""
-    if S.coords is not None and T.coords is not None:
-        return LinearMap(T.source, S.target, coords=tuple(
-            None if c is None else T.coords[c] for c in S.coords))
-    return LinearMap(T.source, S.target, S.mat_mul(T.matrix))
-
-
 @dataclass(frozen=True)
 class MapVerdict:
     verdict: bool

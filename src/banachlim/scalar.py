@@ -8,6 +8,7 @@ fast paths.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -43,12 +44,50 @@ def require_int(v, what, least=None):
     return v
 
 
-def require_type(v, kind, what):
-    """v, if a JSON value of exactly the type kind: str or bool."""
-    if type(v) is not kind:
-        raise ValueError(f"{what} must be a JSON "
-                         + ("string" if kind is str else "bool"))
-    return v
+def read(value, rule, path="job"):
+    """value, checked against a job-field rule and converted; each error
+    names path.  A rule is int, str, bool or float (that JSON type; float is
+    any number, and a bool is never a number), an int n (an int >= n), Q (an
+    exact scalar), [rule] (a list, read as a tuple), {key: rule or (rule,
+    default)} (an object: a key without a default is required, and a key
+    not listed is refused), a dataclass (the object of its fields, typed by
+    their rules), or a function f(value, path)."""
+    if rule is int or type(rule) is int:
+        return require_int(value, path, None if rule is int else rule)
+    if rule is Q and type(value) in (str, int):
+        try:
+            return parse_scalar(value)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+    if rule in (str, bool, float, Q):
+        if type(value) is rule or rule is float and type(value) is int:
+            return value
+        raise ValueError(f"{path} must be " + {
+            str: "a JSON string", bool: "a JSON bool", float: "a JSON number",
+            Q: "a 'p/q' or decimal string or a JSON int"}[rule])
+    if type(rule) is list:
+        if type(value) is not list:
+            raise ValueError(f"{path} must be a list")
+        return tuple(read(v, rule[0], f"{path}[{i}]")
+                     for i, v in enumerate(value))
+    if type(rule) is not dict and not dataclasses.is_dataclass(rule):
+        return rule(value, path)
+    table = rule if type(rule) is dict else {
+        f.name: (f.type, f.default) for f in dataclasses.fields(rule)}
+    if type(value) is not dict:
+        raise ValueError(f"{path} must be a JSON object")
+    unknown = sorted(set(value) - set(table))
+    if unknown:
+        raise ValueError(f"unknown key in {path}: {', '.join(unknown)} "
+                         f"(allowed: {', '.join(sorted(table))})")
+    out = {}
+    for key, entry in table.items():
+        sub, *default = entry if type(entry) is tuple else (entry,)
+        if key not in value and not default:
+            raise ValueError(f"{path}.{key} is required")
+        out[key] = (read(value[key], sub, f"{path}.{key}") if key in value
+                    else default[0])
+    return out if type(rule) is dict else rule(**out)
 
 
 def format_scalar(q) -> str:

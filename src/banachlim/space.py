@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import linalg
-from .scalar import (Q, ZERO, ONE, parse_scalar, format_scalar, require_int,
-                     require_type, sqrt_approx)
+from .scalar import Q, ZERO, ONE, format_scalar, read, sqrt_approx
 from .simplex import LinearProgram, OPTIMAL
 
 # Where spaces switch from enumeration to LPs: up to this dimension a
@@ -507,21 +506,27 @@ def space_to_json(space: NormedSpace):
             "spec": spec_to_json(space.spec)}
 
 
-def spec_from_json(obj):
-    kind = obj.get("kind")
-    if kind == "lp":
-        return LpNorm(str(obj["p"]),
-                      tuple(parse_scalar(w) for w in obj["weights"]))
-    if kind == "hpoly":
-        return HPolytope(tuple(tuple(parse_scalar(v) for v in f)
-                               for f in obj["functionals"]))
-    if kind == "vpoly":
-        return VPolytope(tuple(tuple(parse_scalar(v) for v in w)
-                               for w in obj["vertices"]))
-    raise NormSpecError(f"unknown norm kind {kind!r}")
+# Each norm kind's spec class and field rules; validate_norm_spec checks p.
+_SPEC_RULES = {
+    "lp": (LpNorm, {"p": lambda p, path: str(p), "weights": [Q]}),
+    "hpoly": (HPolytope, {"functionals": [[Q]]}),
+    "vpoly": (VPolytope, {"vertices": [[Q]]}),
+}
 
 
-def space_from_json(obj) -> NormedSpace:
-    spec = spec_from_json(obj["spec"])
-    return NormedSpace(require_int(obj["dim"], "space dim", 0), spec,
-                       require_type(obj.get("label", ""), str, "space label"))
+def spec_from_json(obj, path="spec"):
+    """The spec read by the rule that the object's kind picks."""
+    kind = obj.get("kind") if type(obj) is dict else None
+    if type(kind) is not str or kind not in _SPEC_RULES:
+        raise NormSpecError(f"{path}.kind: unknown norm kind {kind!r}")
+    cls, rule = _SPEC_RULES[kind]
+    fields = read(obj, {"kind": str, **rule}, path)
+    del fields["kind"]
+    return cls(**fields)
+
+
+_SPACE_RULE = {"dim": 0, "spec": spec_from_json, "label": (str, "")}
+
+
+def space_from_json(obj, path="space") -> NormedSpace:
+    return NormedSpace(**read(obj, _SPACE_RULE, path))

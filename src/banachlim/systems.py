@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .scalar import (Q, ZERO, format_scalar, parse_scalar, require_int,
-                     require_type)
+from .scalar import Q, ZERO, format_scalar, read
 from .linmap import (LinearMap, adjoint, is_quotient_map, lipschitz_verdict,
                      linear_map, min_norm_preimage)
 from .space import (NormedSpace, ball_extreme_points, dual_label, dual_space,
@@ -495,35 +494,36 @@ def system_to_json(system):
     return out
 
 
-def system_from_json(obj):
-    if "builtin" in obj:
-        name = obj["builtin"]
-        stages = require_int(obj["stages"], "system stages", 1)
-        if name == "random_quotient":
-            return random_quotient_system(
-                require_int(obj.get("seed", 0), "system seed"), stages)
-        if name not in BUILTIN_SYSTEMS:
-            raise ValueError(f"unknown builtin system {name!r}")
-        return BUILTIN_SYSTEMS[name](stages)
-    spaces = [space_from_json(s) for s in obj["spaces"]]
-    mats = [tuple(tuple(parse_scalar(v) for v in row) for row in m)
-            for m in obj["bonds"]]
-    n = len(spaces)
+_BUILTIN_RULE = {"builtin": str, "stages": 1, "seed": (int, 0)}
+_INLINE_RULE = {"kind": (str, "inverse"), "label": (str, ""),
+                "stages": (1, None), "spaces": [space_from_json],
+                "bonds": [[[Q]]], "is_quotient_system": (bool, False)}
+
+
+def system_from_json(obj, path="system"):
+    """A builtin system by name, or one given by its spaces and bonds."""
+    if type(obj) is dict and "builtin" in obj:
+        b = read(obj, _BUILTIN_RULE, path)
+        if b["builtin"] == "random_quotient":
+            return random_quotient_system(b["seed"], b["stages"])
+        if b["builtin"] not in BUILTIN_SYSTEMS:
+            raise ValueError(f"{path}.builtin: unknown builtin system "
+                             f"{b['builtin']!r}")
+        return BUILTIN_SYSTEMS[b["builtin"]](b["stages"])
+    s = read(obj, _INLINE_RULE, path)
+    spaces, mats, n = s["spaces"], s["bonds"], len(s["spaces"])
     if n < 1:
-        raise ValueError("system spaces must list at least one space")
+        raise ValueError(f"{path}.spaces must list at least one space")
     if len(mats) != n - 1:
-        raise ValueError("system bonds must list len(spaces) - 1 matrices")
-    if require_int(obj.get("stages", n), "system stages", 1) != n:
-        raise ValueError("system stages must equal len(spaces)")
-    label = require_type(obj.get("label", ""), str, "system label")
-    if obj.get("kind", "inverse") == "direct":
+        raise ValueError(f"{path}.bonds must list len(spaces) - 1 matrices")
+    if s["stages"] not in (None, n):
+        raise ValueError(f"{path}.stages must equal len(spaces)")
+    if s["kind"] == "direct":
         bonds = [linear_map(spaces[i], spaces[i + 1], mats[i])
                  for i in range(n - 1)]
         return DirectSystem(lambda i: spaces[i - 1],
-                            lambda i: bonds[i - 1], n, label)
+                            lambda i: bonds[i - 1], n, s["label"])
     bonds = [linear_map(spaces[i + 1], spaces[i], mats[i])
              for i in range(n - 1)]
     return InverseSystem(lambda i: spaces[i - 1], lambda i: bonds[i - 1], n,
-                         label, require_type(obj.get("is_quotient_system",
-                                                     False), bool,
-                                             "is_quotient_system"))
+                         s["label"], s["is_quotient_system"])

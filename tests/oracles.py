@@ -14,7 +14,7 @@ import random
 from banachlim import linalg
 from banachlim import space as space_mod
 from banachlim.determining import Counterexample
-from banachlim.linmap import linear_map
+from banachlim.linmap import LinearMap, linear_map
 from banachlim.scalar import (Q, ZERO, ONE, format_scalar, parse_scalar,
                               sqrt_bracket, to_float)
 from banachlim.simplex import LinearProgram, OPTIMAL
@@ -142,6 +142,14 @@ def halfspace_polytope_reference(halfspaces, dim):
     return verts
 
 
+def compose(S, T):
+    """The linear map S after T."""
+    if S.coords is not None and T.coords is not None:
+        return LinearMap(T.source, S.target, coords=tuple(
+            None if c is None else T.coords[c] for c in S.coords))
+    return LinearMap(T.source, S.target, S.mat_mul(T.matrix))
+
+
 def map_to_json(T, source_label=None, target_label=None):
     """A linear map as a JSON object: its space labels and its matrix."""
     return {"source": source_label or T.source.label,
@@ -263,6 +271,20 @@ def gauge_by_ray_bisection(vertices, x, tol=1e-10):
         else:
             lo = mid
     return hi
+
+
+def verify_lipschitz(curve, M=None, samples=64, tol=1e-9):
+    """A sampled check of a curve's declared Lipschitz bound, on adjacent
+    sample-grid pairs: ||f(t) - f(s)||_M <= L |t - s| + tol."""
+    M = M if M is not None else curve.system.max_stage
+    ts = [i / samples for i in range(samples + 1)]
+    vals = [curve.values(t, M) for t in ts]
+    for i in range(samples):
+        diff = [Q(a - b) for a, b in zip(vals[i + 1], vals[i])]
+        gap = to_float(norm_eval(curve.system.stage(M), diff))
+        if gap > curve.lipschitz_bound * (ts[i + 1] - ts[i]) + tol:
+            return False
+    return True
 
 
 def _rat(f):

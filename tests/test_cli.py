@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -9,10 +10,11 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from banachlim import cli, space, systems
 from banachlim.cli import EXIT_BAD_INPUT, main
 from banachlim.determining import (RhoSchedule, prefix_obstruction_query,
                                    verify_pair)
-from banachlim.scalar import Q
+from banachlim.scalar import Q, read
 from banachlim.systems import system_from_json, validate_standard
 
 
@@ -359,7 +361,9 @@ _SKEW = [["1", "-2"], ["1", "1"]]
 # One job through each of: the vertex list of a weighted linf cube, the
 # operator norm's vertex loop (into l2 and into polytopes), the rows-form
 # pullback of linf stages, the canonical prefix generator, the dual system
-# and the --max-stage copy.  Exit code and report (manifest aside), as
+# and the --max-stage copy; and a norms tail echoed as given (a decimal, a
+# p/q string and an int), an anp-dp tol read from the job, and an inline
+# curve cut by --max-stage.  Exit code and report (manifest aside), as
 # compact sorted JSON.
 @pytest.mark.parametrize("command, job, extra, code, text", [
     ("opnorm", {"source": _WLINF, "target": _L2,
@@ -433,9 +437,43 @@ _SKEW = [["1", "-2"], ["1", "1"]]
      '{"passed":true,"stages":2,"system":"random_quotient_3",'
      '"verdicts":[{"lipschitz_ok":true,"quotient_ok":true,"stage":1,'
      '"witness":null}]}'),
+    ("norms", {"system": {"builtin": "l1_drop", "stages": 3},
+               "vectors": [["0.5", "1/3", 2]]}, [], 0,
+     '{"stages":3,"system":"l1_drop","vectors":[{"limit":null,'
+     '"limit_lower_bound":{"exact":"17/6","float":2.8333333333333335},'
+     '"stage_norms":[{"exact":"1/2","float":0.5},{"exact":"5/6",'
+     '"float":0.8333333333333334},{"exact":"17/6",'
+     '"float":2.8333333333333335}],"tail":["0.5","1/3",2]}]}'),
+    ("anp-dp", {"system": {"builtin": "linf_drop", "stages": 3},
+                "sequence": [["1", "0", "0"], ["1", "1", "0"],
+                             ["1", "1", "1"], ["1", "1", "1"]],
+                "tol": "1/100"}, [], 0,
+     '{"anp":{"eval_stage":3,"norm_converges":true,"norm_residuals":['
+     '{"exact":"0","float":0.0},{"exact":"0","float":0.0},{"exact":"0",'
+     '"float":0.0},{"exact":"0","float":0.0}],"strong_converges":true,'
+     '"strong_residuals":[{"exact":"1","float":1.0},{"exact":"1",'
+     '"float":1.0},{"exact":"0","float":0.0},{"exact":"0","float":0.0}],'
+     '"tol":"1/100","weak_star_convergent":true},"dp":{"blocks":[1,2,3],'
+     '"eval_stage":3,"norm_converges":null,"tol":"1/100",'
+     '"uniform_within_tol":true,"uniformity":[{"exact":"0","float":0.0},'
+     '{"exact":"0","float":0.0},{"exact":"0","float":0.0}],'
+     '"weak_star_convergent":null},"equivalence":{"agree":true,'
+     '"identity_holds":true,"onset":0,"stage":1,"terms":[{"exact":"0",'
+     '"float":0.0},{"exact":"0","float":0.0},{"exact":"0","float":0.0}]},'
+     '"system":"linf_drop"}'),
+    ("curves", {"curve": {"system": {"builtin": "l1_drop", "stages": 4},
+                          "amplitudes": [1, 0.5, 0.25, 0.125],
+                          "frequencies": [1, 2, 4, 8], "label": "geo"},
+                "ts": [0.0, 0.5], "m_range": [3, 5]}, ["--max-stage", "3"], 0,
+     '{"classifications":["decaying","decaying"],"curve":"geo",'
+     '"eval_stage":3,"floor_threshold":0.3,"gaps":[[0.0404980082696772,'
+     '0.010221410512342821,0.002561443310714284],[0.16973226605023917,'
+     '0.088281314923075,0.044795188849311884]],"ms":[3,4,5],'
+     '"slope_threshold":-0.8,"ts":[0.0,0.5]}'),
 ], ids=["opnorm-wlinf-l2", "quotient-wlinf", "opnorm-hpoly-l1",
         "opnorm-l1-hpoly", "determine-prefix", "gfda-linf",
-        "dualize-padding", "validate-max-stage"])
+        "dualize-padding", "validate-max-stage", "norms-echo", "anp-dp-tol",
+        "curves-inline-max-stage"])
 def test_report_text_is_pinned(tmp_path, capsys, command, job, extra, code,
                                text):
     assert main([command, _write(tmp_path, "job.json", job)] + extra) == code
@@ -773,7 +811,7 @@ def _curve_job(**curve):
 # Well-formed jobs that a library guard refuses, each with its message.
 _GUARDED = {
     "unknown-builtin-system": ("validate", {"builtin": "nope", "stages": 2},
-                               "unknown builtin system 'nope'"),
+                               "job.builtin: unknown builtin system 'nope'"),
     "generator-surplus-stages": ("gfda-check", _gfda_job(
         generator=_FLIP_GEN + [_FLIP_GEN[2] + [["0", "0"]]]),
         "more generator stages than system stages"),
@@ -793,36 +831,37 @@ _GUARDED = {
                                  "empty scale range"),
     "curves-bool-stage": ("curves", {
         "curve": "canonical_c0", "grid_points": 2, "m_range": [4, 5],
-        "stage": True}, "stage must be an int >= 1"),
+        "stage": True}, "job.stage must be an int >= 1"),
     "curves-fractional-m-range": ("curves", dict(json.loads(_CURVE_JOB),
                                                  m_range=[4.5, 5]),
-                                  "m_range entry must be an int"),
+                                  "job.m_range[0] must be an int"),
     "curves-short-m-range": ("curves", dict(json.loads(_CURVE_JOB),
                                             m_range=[4]),
-                             "m_range must be a list of two ints"),
+                             "job.m_range must be a list of two ints"),
     "curves-bool-ts": ("curves", dict(json.loads(_CURVE_JOB),
                                       ts=[0.0, True]),
-                       "ts entries must be numbers, not bools"),
+                       "job.ts[1] must be a JSON number"),
     "curves-string-ts": ("curves", dict(json.loads(_CURVE_JOB), ts=["0.5"]),
-                         "ts entries must be numbers, not strings"),
+                         "job.ts[0] must be a JSON number"),
     "curves-bool-amplitude": ("curves", _curve_job(
         amplitudes=[True, "2", 1, 0, 0]),
-        "amplitudes entries must be numbers, not bools"),
+        "job.curve.amplitudes[0] must be a JSON number"),
     "curves-string-amplitudes": ("curves", _curve_job(amplitudes="00000"),
-                                 "amplitudes entries must be numbers, not "
-                                 "strings"),
+                                 "job.curve.amplitudes must be a list"),
     "curves-string-frequency": ("curves", _curve_job(
         frequencies=[1, 1, "1", 1, 1]),
-        "frequencies entries must be numbers, not strings"),
+        "job.curve.frequencies[2] must be a JSON number"),
     "curves-string-lipschitz-bound": ("curves", _curve_job(
-        lipschitz_bound="2"), "lipschitz_bound must be a number"),
+        lipschitz_bound="2"),
+        "job.curve.lipschitz_bound must be a JSON number"),
     "curves-bool-lipschitz-bound": ("curves", _curve_job(
-        lipschitz_bound=True), "lipschitz_bound must be a number"),
+        lipschitz_bound=True),
+        "job.curve.lipschitz_bound must be a JSON number"),
     "unknown-canonical-query": ("determine", dict(
         _certify_job(), canonical="prefix"),
-        "unknown canonical query 'prefix'"),
+        "job.canonical: unknown canonical query 'prefix'"),
     "unknown-mode": ("determine", dict(_search_job(starts=1), mode="sweep"),
-                     "unknown mode 'sweep'"),
+                     "job.mode: unknown mode 'sweep'"),
 }
 
 
@@ -912,9 +951,9 @@ def test_bad_system_error_names_the_key(tmp_path, capsys, job, key):
 
 
 @pytest.mark.parametrize("job, message", [
-    (_search_job(strats=1), 'unknown key in "search": strats '
+    (_search_job(strats=1), 'unknown key in job.search: strats '
      '(allowed: iters, max_den, seed, starts)'),
-    (_certify_job(dim_cap=4), 'unknown key in "certify": dim_cap '
+    (_certify_job(dim_cap=4), 'unknown key in job.certify: dim_cap '
      '(allowed: budget, delta, refine_rounds)'),
 ], ids=["search", "certify"])
 def test_unknown_config_key_is_named(tmp_path, capsys, job, message):
@@ -928,6 +967,55 @@ def test_input_guard_names_its_fault(tmp_path, capsys, command, job,
                                      message):
     assert main([command, _write(tmp_path, "job.json", job)]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_L1_PAIR = {"system": {"builtin": "l1_drop", "stages": 2},
+            "vectors": [["1", "0"]]}
+# Faults that the job reader or the flag parser names, each with the start
+# of its one error line: the key path, or the flag.
+_NAMED = {
+    "ts-not-a-list": ("curves", {"curve": "canonical_c0", "ts": 0.5,
+                                 "m_range": [4, 5]}, [],
+                      "job.ts must be a list"),
+    "null-rho": ("determine", dict(_certify_job(), rho=None), [],
+                 "job.rho must be a list"),
+    "vectors-not-a-list": ("norms", dict(_L1_PAIR, vectors=5), [],
+                           "job.vectors must be a list"),
+    "eval-stage-typo": ("determine", dict(_certify_job(), eval_stag=3), [],
+                        "unknown key in job: eval_stag (allowed: canonical, "
+                        "certify, eps, mode, n, rho, search)"),
+    "norms-unknown-key": ("norms", dict(_L1_PAIR, vectorz=[]), [],
+                          "unknown key in job: vectorz (allowed: system, "
+                          "vectors)"),
+    "anp-dp-only-a-system": ("anp-dp", {"builtin": "l1_drop", "stages": 2},
+                             [], "unknown key in job: builtin, stages "
+                             "(allowed: sequence, system, tol)"),
+    "anp-dp-without-system": ("anp-dp", {"sequence": [["1", "0"]]}, [],
+                              "job.system is required"),
+    "zero-max-stage": ("determine", _certify_job(), ["--max-stage", "0"],
+                       "--max-stage must be an int >= 1"),
+    "text-max-stage": ("determine", _certify_job(), ["--max-stage", "abc"],
+                       "argument --max-stage: invalid int value: 'abc'"),
+    "fractional-seed": ("determine", _certify_job(), ["--seed", "1.5"],
+                        "argument --seed: invalid int value: '1.5'"),
+    "unknown-command": ("determin", _certify_job(), [],
+                        "argument command: invalid choice: 'determin'"),
+    "zero-denominator-tol": ("validate", {"builtin": "l1_drop", "stages": 2},
+                             ["--tol", "1/0"],
+                             "--tol: zero denominator in '1/0'"),
+}
+
+
+@pytest.mark.parametrize("command, job, extra, message", _NAMED.values(),
+                         ids=list(_NAMED))
+def test_reader_and_parser_name_the_fault(tmp_path, capsys, command, job,
+                                          extra, message):
+    path = _write(tmp_path, "job.json", job)
+    assert main([command, path] + extra) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and "usage" not in captured.err
 
 
 # Cheap jobs to mutate; every value a mutation can put in keeps the work
@@ -954,9 +1042,88 @@ _json_values = st.recursive(
         st.sampled_from(["kind", "p", "dim", "spec", "weights", "x"]),
         kids, max_size=3),
     max_leaves=6)
-# Valid replacements: a label string, small counts and a rational, so that
-# some mutated jobs still run and reach the report path.
+# Valid replacements where the walk below cannot name the rule: a label
+# string, small counts and a rational.
 _valid_values = st.sampled_from(["y", 1, 2, "1/3"])
+# The tables behind each union rule: a job value is read by the one of them
+# that reads it.
+_ALTERNATIVES = {
+    system_from_json: [systems._BUILTIN_RULE, systems._INLINE_RULE],
+    space.space_from_json: [space._SPACE_RULE],
+    space.spec_from_json: [{"kind": str, **rule}
+                           for _, rule in space._SPEC_RULES.values()],
+    cli._determine_job: [cli._CANONICAL, cli._EXPLICIT],
+    cli._generator: [{"tail": [[Q]]}, [[[Q]]]],
+    cli._curve: [str, cli._CURVE],
+    cli._ts: [str, [float]],
+    cli._echoed: [[Q]],
+}
+
+
+def _opened(rule, value):
+    """rule, or for a union the alternative table that reads value."""
+    for alt in _ALTERNATIVES.get(rule, ()) if callable(rule) else ():
+        try:
+            read(value, alt)
+        except ValueError:
+            continue
+        return _opened(alt, value)
+    return rule
+
+
+def _rule_at(rule, job, path):
+    """The rule that reads the value at path in job, or None past a rule
+    that the walk cannot open; and that value."""
+    for key in path:
+        rule = _opened(rule, job)
+        if type(rule) is list:
+            rule = rule[0]
+        elif type(rule) is dict:
+            rule = rule[key][0] if type(rule[key]) is tuple else rule[key]
+        elif dataclasses.is_dataclass(rule):
+            rule = {f.name: f.type for f in dataclasses.fields(rule)}[key]
+        else:
+            rule = None
+        job = job[key]
+    return _opened(rule, job), job
+
+
+def _fitting(rule, value):
+    """Small values that rule reads, shaped like value (a list keeps its
+    length, and a count or a name may stay), or None for an object or a
+    union."""
+    if rule is int or type(rule) is int:
+        return st.integers(-1 if rule is int else rule, 3) | st.just(value)
+    if type(rule) is list:
+        items = [_fitting(rule[0], v) for v in value]
+        return None if None in items else st.tuples(*items).map(list)
+    return {str: st.sampled_from([value, "y", "x*"]), bool: st.booleans(),
+            float: st.sampled_from([0.0, 0.25, 1]),
+            Q: st.sampled_from(["1/3", "-1/2", 2, "0.5"])}.get(
+                rule if isinstance(rule, type) else None)
+
+
+def _keys(rule):
+    """Every key of every object rule that rule reads through."""
+    if type(rule) is list:
+        yield from _keys(rule[0])
+    elif type(rule) is dict:
+        for key, entry in rule.items():
+            yield key
+            yield from _keys(entry[0] if type(entry) is tuple else entry)
+    elif dataclasses.is_dataclass(rule):
+        yield from _keys({f.name: f.type for f in dataclasses.fields(rule)})
+    elif callable(rule):
+        for alt in _ALTERNATIVES.get(rule, ()):
+            yield from _keys(alt)
+
+
+def test_readme_names_every_job_key():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line")[1].split("\n## ")[0]
+    keys = {key for rule, _ in cli.COMMANDS.values() for key in _keys(rule)}
+    assert len(keys) > 40
+    assert sorted(key for key in keys if f"`{key}`" not in section) == []
 
 
 def _paths(obj, prefix=()):
@@ -981,8 +1148,9 @@ def _replaced(obj, path, value):
 def test_malformed_jobs_never_escape_the_exit_codes(tmp_path_factory, data):
     command, job = data.draw(st.sampled_from(_CHEAP_JOBS))
     path = data.draw(st.sampled_from(list(_paths(job))))
-    text = json.dumps(_replaced(job, path,
-                                data.draw(_valid_values | _json_values)))
+    valid = _fitting(*_rule_at(cli.COMMANDS[command][0], job, path))
+    text = json.dumps(_replaced(job, path, data.draw(
+        (_valid_values if valid is None else valid) | _json_values)))
     if data.draw(st.booleans()):
         text = text[:data.draw(st.integers(0, len(text) - 1))]
     job_path = tmp_path_factory.mktemp("job") / "job.json"

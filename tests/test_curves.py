@@ -11,7 +11,9 @@ from banachlim.curves import (CoordinateCurve, canonical_c0_curve,
                               canonical_grid, canonical_l1_curve,
                               coordinate_gap_oracle, difference_quotient,
                               differentiability_scan, report_to_csv,
-                              report_to_json, scale_gap, verify_lipschitz)
+                              report_to_json, scale_gap)
+
+from oracles import verify_lipschitz
 
 
 def _linear_curve(M=6):

@@ -6,16 +6,16 @@ from hypothesis import given, settings, strategies as st
 from banachlim import linalg, linmap, space
 from banachlim.scalar import Q, ZERO, ONE, from_float, to_float
 from banachlim.linmap import (EXACT, SAMPLED_BOUND, LinearMap, RangeError,
-                              adjoint, compose, is_isometric_embedding,
+                              adjoint, is_isometric_embedding,
                               is_one_lipschitz, is_quotient_map, linear_map,
                               min_norm_preimage, operator_norm, quotient_norm)
 from banachlim.space import (NormedSpace, VPolytope, ball_extreme_points,
                              hpoly_space, lp_space, norm_eval, norm_eval_sq,
                              vpoly_space)
 
-from oracles import (count_lp_solves, hull_contains, lower_enumeration_caps,
-                     map_from_json, map_to_json, random_rational_vector,
-                     random_spanning_vectors)
+from oracles import (compose, count_lp_solves, hull_contains,
+                     lower_enumeration_caps, map_from_json, map_to_json,
+                     random_rational_vector, random_spanning_vectors)
 
 
 def _rand_polytope_space(rng, dim):

@@ -75,7 +75,8 @@ def test_validate_norm_degenerate():
 
 
 def test_unknown_specs_are_refused():
-    with pytest.raises(NormSpecError, match="^unknown norm kind 'ball'$"):
+    with pytest.raises(NormSpecError,
+                       match="^spec.kind: unknown norm kind 'ball'$"):
         spec_from_json({"kind": "ball"})
     with pytest.raises(NormSpecError, match="^unknown spec object$"):
         validate_norm_spec(object(), 2)
