@@ -24,9 +24,9 @@ from .scalar import Q, format_scalar, read, to_float
 from .space import space_from_json
 from .linmap import (is_isometric_embedding, is_quotient_map, linear_map,
                      operator_norm)
-from .systems import (compatible_from_tail, dualize, generator_from_tail,
-                      stage_norms, system_from_json, system_to_json,
-                      validate_standard, SubspaceGenerator)
+from .systems import (StageError, SubspaceGenerator, compatible_from_tail,
+                      dualize, generator_from_tail, stage_norms,
+                      system_from_json, system_to_json, validate_standard)
 from .determining import (CertifyConfig, DeterminingQuery, RhoSchedule,
                           SearchConfig, anp_diagnostic, dp_diagnostic,
                           eps_determining_certify, eps_determining_search,
@@ -226,8 +226,13 @@ def _generator(value, path):
 
 def _system_and_generator(job, args):
     system, g = _truncate(job["system"], args), job["generator"]
-    return system, (generator_from_tail(system, g["tail"]) if type(g) is dict
-                    else SubspaceGenerator(system, g))
+    try:
+        return system, (generator_from_tail(system, g["tail"])
+                        if type(g) is dict else SubspaceGenerator(system, g))
+    except (ValueError, LookupError) as e:  # named, and the flag if it cut
+        cut = isinstance(e, StageError) and system is not job["system"]
+        raise ValueError(f"job.generator: {e}" + cut * " (--max-stage cut "
+                         f"the system to {system.max_stage} stages)") from None
 
 
 def _search(query, args):

@@ -33,7 +33,7 @@ from .linmap import is_quotient_map, linear_map, operator_norm
 from .scalar import (ONE, Q, ZERO, rationalize, require_int, sqrt_bracket,
                      to_float)
 from .space import (NormedSpace, ball_extreme_points, ball_form, dual_space,
-                    hpoly_space, is_l2, norm_eval, vpoly_space)
+                    hpoly_space, is_l2, lp_space, norm_eval, vpoly_space)
 from .systems import (InverseSystem, SubspaceGenerator, generator_from_tail,
                       invlim_convergence, linf_drop_system, project)
 
@@ -93,8 +93,8 @@ class CertifyConfig:
 
 
 _VERIFY_COST = 1000
-# Largest parameter dimension the certify sweep takes on.  It is below the
-# vertex-enumeration cap, so _cube_constants always reads vertex lists.
+# Largest parameter dimension the certify sweep takes on.  It is at most
+# _FACET_DIM, so the operator norms of its cube constants solve no LP.
 _CERTIFY_DIM = 4
 
 
@@ -404,19 +404,6 @@ def _pullback(space: NormedSpace, G) -> NormedSpace:
         f"cannot pull a {spec.kind} norm back to parameter space")
 
 
-def _cube_constants(nu: NormedSpace):
-    """(max, min) of the polytopal norm nu over the l-inf unit sphere, read
-    off the cached vertex lists, with no LP.  nu(x) is the largest psi.x
-    over the vertices psi of the dual ball, and psi.x peaks over the cube
-    at ||psi||_1.  nu(x) = ||x||_inf / ||y||_inf for y = x / nu(x) on the
-    unit sphere of nu, so the min is 1 / the largest ||y||_inf over the
-    ball, taken at a vertex.  NormSpecError above the vertex-enumeration
-    cap."""
-    return (max(sum(map(abs, psi), ZERO)
-                for psi in ball_extreme_points(dual_space(nu))),
-            1 / max(max(map(abs, e)) for e in ball_extreme_points(nu)))
-
-
 @dataclass(frozen=True)
 class CertifyReport:
     kind: str                   # "certificate" | "counterexample" | "undecided"
@@ -476,7 +463,10 @@ def eps_determining_certify(q: DeterminingQuery) -> CertifyReport:
         raise ValueError(f"parameter dimension {d} above certification cap")
     nu = parameter_space(q.gen, q.eval_stage)
 
-    c_max, c_min = _cube_constants(nu)
+    # c_min |x|_inf <= nu(x) <= c_max |x|_inf, by the identity's norms.
+    cube, eye = lp_space("inf", dim=d), linalg.identity(d)
+    c_max = operator_norm(linear_map(cube, nu, eye)).upper
+    c_min = 1 / operator_norm(linear_map(nu, cube, eye)).upper
     l_rad = 2 * c_max / c_min          # radial projection, cube -> nu sphere
     fq = _FloatQuery(q)
     stage_norm = {i: _FloatNorms([q.system.stage(i)]) for i in (fq.N, fq.M)}

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+import sys
 from fractions import Fraction
 
 Q = Fraction
@@ -31,6 +33,12 @@ def parse_scalar(s):
             raise ValueError(f"zero denominator in {s!r}")
         return Q(int(num), int(den))
     if "." in s or "e" in s or "E" in s:
+        # Refused unbuilt if its integers pass the digit limit of str().
+        mant, _, exp = s.lower().partition("e")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if (limit and re.fullmatch(r"[+-]?\d+", exp)
+                and len(mant) + abs(int(exp)) > limit):
+            raise ValueError(f"decimal {s!r} has over {limit} digits")
         return Q(s)
     return Q(int(s))
 

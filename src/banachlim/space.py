@@ -334,25 +334,15 @@ def dual_space(space: NormedSpace) -> NormedSpace:
 # ---------------------------------------------------------------------------
 # Unit-ball extreme points
 
-def _adjacent(i, j, verts, dim):
-    """Adjacency on the current polytope (Fukuda's combinatorial test):
-    vertices are adjacent iff no other vertex is active on all of their
-    common active set.  Exact because verts lists every vertex of the
-    polytope with its full active set: the face cut out by the common set
-    is an edge iff it has no third vertex.  An edge lies on at least
-    dim - 1 facets, so a smaller common set rules the pair out at once."""
-    common = verts[i][1] & verts[j][1]
-    return len(common) >= dim - 1 and not any(common <= verts[k][1]
-                   for k in range(len(verts)) if k != i and k != j)
-
-
 def _integer_vertices(halfspaces, dim):
     """Vertices of {x : a.x <= 1} by successive halfspace intersection, each
-    as [(p, w), full set of the indices of the halfspaces active at it]: the
-    point p / w as one primitive integer vector (p, w), w > 0.  A halfspace
-    a.x <= 1 is the covector (s a, -s), s the lcm of a's denominators; an
-    edge from P_i inside to P_j outside meets it at alpha_j P_i - alpha_i
-    P_j, alpha the covector's values."""
+    as [(p, w), mask]: the point p / w as one primitive integer vector
+    (p, w), w > 0, and the full bitmask of the halfspaces active at it.  A
+    halfspace a.x <= 1 is the covector (s a, -s), s the lcm of a's
+    denominators; an edge from P_i inside to P_j outside meets it at
+    alpha_j P_i - alpha_i P_j, alpha the covector's values.  P_i P_j is an
+    edge iff it lies on dim - 1 or more halfspaces and no third vertex is
+    active on all of their common set (Fukuda and Prodon's test)."""
     # Seed: the first d independent symmetric pairs give a parallelepiped,
     # whose vertices are the sums of +- the columns of the pairs' inverse.
     idx = [2 * i for i in linalg.column_space_basis(
@@ -366,7 +356,7 @@ def _integer_vertices(halfspaces, dim):
     for side in itertools.product((0, 1), repeat=dim):
         pt = tuple(map(sum, zip(*(signed[j][s] for j, s in enumerate(side)))))
         verts.append([_primitive(pt + (den,)),
-                      {idx[j] + s for j, s in enumerate(side)}])
+                      sum(1 << idx[j] + s for j, s in enumerate(side))])
     covs = [nums + (-s,) for nums, s in map(linalg.scaled, halfspaces)]
     for h, cov in enumerate(covs):
         if h - h % 2 in idx:            # a seed pair
@@ -376,20 +366,24 @@ def _integer_vertices(halfspaces, dim):
         on = [i for i, t in enumerate(vals) if t == 0]
         outside = [i for i, t in enumerate(vals) if t > 0]
         for i in on:
-            verts[i][1].add(h)
+            verts[i][1] |= 1 << h
         if not outside:
             continue
+        masks = [m for _, m in verts]
         new_verts = []
         for i in inside:
             for j in outside:
-                if not _adjacent(i, j, verts, dim):
+                common = masks[i] & masks[j]
+                if common.bit_count() < dim - 1 or any(
+                        not common & ~m for k, m in enumerate(masks)
+                        if k != i and k != j):
                     continue
                 pt = _primitive(tuple(vals[j] * pi - vals[i] * pj for pi, pj
                                       in zip(verts[i][0], verts[j][0])))
-                new_verts.append((pt, (verts[i][1] & verts[j][1]) | {h}))
+                new_verts.append((pt, common | 1 << h))
         index = {verts[i][0]: verts[i] for i in inside + on}
         for pt, active in new_verts:
-            index.setdefault(pt, [pt, set()])[1] |= active
+            index.setdefault(pt, [pt, 0])[1] |= active
         verts = list(index.values())
     return verts
 
@@ -404,14 +398,14 @@ def _symmetric_ball(rows, dim):
     """(vertices, den, facets) of {x : |r.x| <= 1 for every row r}: the
     vertices p / w as integer rows p (den // w) over den, the lcm of the
     w's, and a facet flag per row.  r.x = 1 is a facet iff the set of
-    vertices on it is inside no other signed row's set.  A lower or empty
-    face lies in a facet, every facet is a row, and a facet's set is inside
-    another face's only for equal rows."""
+    vertices on it (a bitmask) is inside no other signed row's set.  A
+    lower or empty face lies in a facet, every facet is a row, and a
+    facet's set is inside another face's only for equal rows."""
     halfspaces = [r for f in rows for r in (f, tuple(-v for v in f))]
     verts = _integer_vertices(halfspaces, dim)
-    on = [{k for k, (_, active) in enumerate(verts) if h in active}
+    on = [sum(1 << k for k, (_, m) in enumerate(verts) if m >> h & 1)
           for h in range(len(halfspaces))]
-    facets = tuple(not any(on[2 * i] <= on[h] and halfspaces[h] != r
+    facets = tuple(not any(not on[2 * i] & ~on[h] and halfspaces[h] != r
                            for h in range(len(halfspaces)))
                    for i, r in enumerate(rows))
     den = math.lcm(*(pt[-1] for pt, _ in verts))

@@ -89,9 +89,11 @@ def inverse_reference(A):
 
 def unscaled_vertices(halfspaces, dim):
     """space._integer_vertices with each primitive (p, w) as the rational
-    point p / w: [point, active set] per vertex, in its order."""
-    return [[tuple(Q(v, pt[-1]) for v in pt[:-1]), active]
-            for pt, active in space_mod._integer_vertices(halfspaces, dim)]
+    point p / w and each active bitmask as its set of halfspace indices:
+    [point, active set] per vertex, in its order."""
+    return [[tuple(Q(v, pt[-1]) for v in pt[:-1]),
+             {h for h in range(len(halfspaces)) if mask >> h & 1}]
+            for pt, mask in space_mod._integer_vertices(halfspaces, dim)]
 
 
 def halfspace_polytope_reference(halfspaces, dim):

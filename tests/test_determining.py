@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from banachlim import determining, linalg
 from banachlim.scalar import Q, ZERO, ONE
 from banachlim.space import hpoly_space, lp_space, norm_eval, vpoly_space
-from banachlim.linmap import linear_map
+from banachlim.linmap import linear_map, operator_norm
 from banachlim.systems import (InverseSystem, SubspaceGenerator,
                                compatible_from_tail, generator_from_tail,
                                invlim_convergence, l1_drop_system,
@@ -857,10 +857,20 @@ def test_rescaled_presentation_top_norm_unchanged():
         assert norm_eval(dom, a) == norm_eval(rdom, a)
 
 
+def _cube_constants(space):
+    """The certify sweep's (max, min) of the norm over the l-inf unit
+    sphere: the norm of the identity from the cube to the space, and 1 over
+    the norm of the identity back."""
+    cube, eye = lp_space("inf", dim=space.dim), linalg.identity(space.dim)
+    return (operator_norm(linear_map(cube, space, eye)).upper,
+            1 / operator_norm(linear_map(space, cube, eye)).upper)
+
+
 def test_cube_constants_match_the_face_lp_and_cube_vertex_oracles():
-    # The max of the norm over the l-inf unit sphere, read off the dual
-    # ball's vertices, is its max over the cube's vertices; the min, read
-    # off the ball's vertices, is the least of one LP per cube face.
+    # The max of the norm over the l-inf unit sphere, the norm of the
+    # identity from the cube, is its max over the cube's vertices; the min,
+    # 1 over the norm of the identity back, is the least of one LP per cube
+    # face.
     rng = random.Random(101)
     for d in (1, 2, 3, 4):
         for _ in range(2):
@@ -870,7 +880,7 @@ def test_cube_constants_match_the_face_lp_and_cube_vertex_oracles():
                           hpoly_space(vecs), vpoly_space(vecs)):
                 top = max(norm_eval(space, s) for s in
                           itertools.product((ONE, -ONE), repeat=d))
-                assert determining._cube_constants(space) == (
+                assert _cube_constants(space) == (
                     top, min_norm_on_cube_sphere(space)), (d, space.spec)
 
 
@@ -899,7 +909,7 @@ def test_certify_and_gfda_solve_no_lp(monkeypatch):
     assert not gfda_check(sys_, gen, 3).passes
     assert len(solves) == 0 and len(kinds) > 1
     nu = parameter_space(q.gen, q.eval_stage)
-    assert min_norm_on_cube_sphere(nu) == determining._cube_constants(nu)[1]
+    assert min_norm_on_cube_sphere(nu) == _cube_constants(nu)[1]
     assert len(solves) > 0
     solves.clear()
     lower_enumeration_caps(monkeypatch, 1)

@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from banachlim.scalar import Q, require_int, sqrt_bracket
+from banachlim.scalar import (Q, format_scalar, parse_scalar, require_int,
+                              sqrt_bracket)
 
 _REL = Q(1, 2**50)
 
@@ -47,3 +49,14 @@ def test_require_int_passes_ints_through():
     assert require_int(-5, "seed") == -5
     assert require_int(3, "n", 1) == 3
     assert require_int(0, "dim", 0) == 0
+
+
+def test_decimal_exponents_stop_at_the_digit_limit():
+    # A decimal is built only if str() can print its integers: at most
+    # limit digits, counting the mantissa's characters and the exponent.
+    limit = sys.get_int_max_str_digits()
+    for text in (f"1e{limit - 1}", f"-1e-{limit - 2}", f"0.5e-{limit - 3}"):
+        assert parse_scalar(format_scalar(parse_scalar(text))) == Q(text)
+    for text in (f"1e{limit}", f"1E-{limit}", f"12.5e+{limit - 3}"):
+        with pytest.raises(ValueError, match=f"has over {limit} digits"):
+            parse_scalar(text)

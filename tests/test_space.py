@@ -388,8 +388,8 @@ def test_enumeration_matches_the_fraction_reference_in_order():
     # the integer rows over the denominator that scaling the rational
     # points gives: cubes (the seed alone), scaled cubes, cross-polytopes
     # (every vertex on 2^(d-1) facets), and random rows with zero, repeated
-    # and scaled ones, for d = 1..6.  A rows ball lists the same points as
-    # rationals.
+    # and scaled ones, for d = 1..6, and 72 halfspaces in d = 2, 3.  A rows
+    # ball lists the same points as rationals.
     rng = random.Random(41)
     specs = []
     for dim in range(1, 7):
@@ -401,6 +401,13 @@ def test_enumeration_matches_the_fraction_reference_in_order():
                       itertools.product((1, -1), repeat=dim - 1)])
         specs += [_enumeration_rows(rng, dim)
                   for _ in range((40, 40, 30, 20, 8, 4)[dim - 1])]
+    # 36 rational points on a circle and on a sphere: every row is a facet,
+    # so the active bitmasks run past 64 halfspaces, a machine word.
+    specs.append([((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+                  for t in (Q(k, 40) for k in range(36))])
+    grid = [Q(k, 5) for k in range(-3, 3)]
+    specs.append([(2 * u / n, 2 * v / n, (2 - n) / n) for u in grid
+                  for v in grid for n in (1 + u * u + v * v,)])
     for rows in specs:
         dim = len(rows[0])
         halfspaces = [r for f in rows for r in (f, tuple(-v for v in f))]
@@ -415,6 +422,9 @@ def test_enumeration_matches_the_fraction_reference_in_order():
         got = ball_extreme_points(NormedSpace(dim, HPolytope(rows)))
         assert got == [pt for pt, _ in want]
         assert all(type(v) is Fraction for pt in got for v in pt)
+    # The facet test runs on the 72 and 90 vertex bitmasks of the last two.
+    assert all(all(space._symmetric_ball(rows, len(rows[0]))[2])
+               for rows in map(tuple, specs[-2:]))
 
 
 def test_specs_built_from_lists_evaluate():
