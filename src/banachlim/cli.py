@@ -114,7 +114,8 @@ def _fmt_vec(v):
 
 
 def _scalar_out(q):
-    return {"exact": format_scalar(q), "float": to_float(q)}
+    fits = abs(q) <= sys.float_info.max     # else the float shadow is null
+    return {"exact": format_scalar(q), "float": to_float(q) if fits else None}
 
 
 def _map_verdict_out(v):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import mul
 
 from . import linalg, space
 from .scalar import Q, ZERO, ONE, from_float, sqrt_bracket, to_float
@@ -125,12 +126,25 @@ def adjoint(T: LinearMap) -> LinearMap:
                      coords=tuple(map(inverse.get, range(T.source.dim))))
 
 
-def _opnorm_over_vertices(T: LinearMap, vertices):
-    """max ||T v|| over the vertices (exact squares for an l2 target)."""
-    size = norm_eval_sq if is_l2(T.target) else norm_eval
-    best, witness = max(((size(T.target, T(v)), v) for v in vertices),
-                        key=lambda pair: pair[0])
-    if size is norm_eval_sq:
+def _source_images(C: LinearMap):
+    """(points, den, images, k): C's source ball record and k C(p / den)."""
+    points, den = space.ball_extreme_record(C.source)
+    if C.coords is not None:
+        return points, den, [tuple(0 if c is None else p[c] for c in C.coords)
+                             for p in points], den
+    A, a = linalg.scaled_rows(C.rows)
+    return points, den, [tuple(sum(map(mul, r, p)) for r in A)
+                         for p in points], den * a
+
+
+def _opnorm_over_vertices(T: LinearMap):
+    """max ||T v|| over the source ball, off integer images (l2: squares)."""
+    points, den, images, k = _source_images(T)
+    f, s = T.target.scaled_norm
+    vals = [f(y) for y in images]
+    witness = linalg.unscale(points[vals.index(max(vals))], den)
+    best = Q(max(vals), s * k ** (2 if is_l2(T.target) else 1))
+    if is_l2(T.target):
         lo, hi = sqrt_bracket(best)
         return OpNormResult((lo + hi) / 2, lo, hi, EXACT, witness, best)
     return OpNormResult(best, best, best, EXACT, witness, best * best)
@@ -199,12 +213,9 @@ def _route_norm(T: LinearMap):
     err = None
     for _, primal in routes:
         try:
-            if primal:
-                return _opnorm_over_vertices(
-                    T, ball_extreme_points(T.source)), None
-            Tadj = adjoint(T)
-            res = _opnorm_over_vertices(Tadj, ball_extreme_points(Tadj.source))
-            return res, Tadj(res.witness)
+            S = T if primal else adjoint(T)
+            res = _opnorm_over_vertices(S)
+            return res, None if primal else S(res.witness)
         except NormSpecError as e:   # above the enumeration cap
             err = e
     raise err
@@ -309,15 +320,15 @@ def quotient_norm(T: LinearMap, v):
 def _min_preimage_norm_sq(C: LinearMap):
     """Exact square of the minimal preimage norm under a surjective C, on
     its target: the gauge of the image ball conv(+-C e) over the listed
-    source-ball extreme points e, else that of the least-norm preimage (l2
-    normal equations, or the LP)."""
+    source-ball extreme points e (k times that of their integer images),
+    else that of the least-norm preimage (l2 normal equations, or the LP)."""
     try:
-        points = ball_extreme_points(C.source)
+        _, _, images, k = _source_images(C)
     except NormSpecError:   # l2 source, or a rows-form one above the cap
         return lambda v: norm_eval_sq(C.source, min_norm_preimage(C, v)[0])
     gauge = hull_gauge(dict.fromkeys(
-        _canonical_sign(w) for w in map(C, points) if any(w)), C.target.dim)
-    return lambda v: gauge(v) ** 2
+        _canonical_sign(w) for w in images if any(w)), C.target.dim)
+    return lambda v: (k * gauge(v)) ** 2
 
 
 def _covering_verdict(T: LinearMap, C: LinearMap, reason, lip=None):

@@ -459,21 +459,25 @@ def extreme_point_estimate(space: NormedSpace):
     return 2 * len(B) if kind == "gens" else 2 ** space.dim
 
 
-def ball_extreme_points(space: NormedSpace):
-    """Extreme points of a polytopal unit ball: +-each generator, or the
-    vertices of a rows-form ball (H-polytope, linf cube), as rationals
-    unscaled from the integer record of _cached_ball, keyed by the rows, so
-    a space shares it with its dual's facets."""
+def ball_extreme_record(space: NormedSpace):
+    """(integer rows, den): the extreme points of a polytopal unit ball, +-
+    each generator, or the vertices of a rows-form ball from _cached_ball."""
     form = ball_form(space.spec)
     if form is None:
         raise NormSpecError("l2 ball is not a polytope; extreme points "
                             "not enumerable")
     if form[0] == "gens":
-        return [v for u in form[1] for v in (u, tuple(-x for x in u))]
+        return linalg.scaled_rows(
+            [v for u in form[1] for v in (u, tuple(-x for x in u))])
     if space.dim > _VERTEX_CAP:
         raise NormSpecError(
             f"dim {space.dim} exceeds vertex-enumeration cap {_VERTEX_CAP}")
-    verts, den, _ = _cached_ball(tuple(map(tuple, form[1])), space.dim)
+    return _cached_ball(tuple(map(tuple, form[1])), space.dim)[:2]
+
+
+def ball_extreme_points(space: NormedSpace):
+    """The extreme points of ball_extreme_record, as rationals in order."""
+    verts, den = ball_extreme_record(space)
     return [linalg.unscale(v, den) for v in verts]
 
 
@@ -523,4 +527,8 @@ _SPACE_RULE = {"dim": 0, "spec": spec_from_json, "label": (str, "")}
 
 
 def space_from_json(obj, path="space") -> NormedSpace:
-    return NormedSpace(**read(obj, _SPACE_RULE, path))
+    fields = read(obj, _SPACE_RULE, path)
+    try:
+        return NormedSpace(**fields)
+    except NormSpecError as e:
+        raise NormSpecError(f"{path}.spec: {e}") from None

@@ -14,12 +14,14 @@ import random
 from banachlim import linalg
 from banachlim import space as space_mod
 from banachlim.determining import Counterexample
-from banachlim.linmap import LinearMap, linear_map
+from banachlim.linmap import (EXACT, LinearMap, OpNormResult, linear_map,
+                              min_norm_preimage)
 from banachlim.scalar import (Q, ZERO, ONE, format_scalar, parse_scalar,
                               sqrt_bracket, to_float)
 from banachlim.simplex import LinearProgram, OPTIMAL
-from banachlim.space import (ball_extreme_points, dual_space, is_l2,
-                             norm_eval, norm_eval_sq)
+from banachlim.space import (NormSpecError, _canonical_sign,
+                             ball_extreme_points, dual_space, hull_gauge,
+                             is_l2, norm_eval, norm_eval_sq)
 
 _FACET_DIM = space_mod._FACET_DIM         # the default, before any patch
 
@@ -150,6 +152,32 @@ def compose(S, T):
         return LinearMap(T.source, S.target, coords=tuple(
             None if c is None else T.coords[c] for c in S.coords))
     return LinearMap(T.source, S.target, S.mat_mul(T.matrix))
+
+
+def opnorm_over_vertices_reference(T, vertices):
+    """max ||T v|| over the rational vertices, each image by T in Fractions
+    and its norm by norm_eval (norm_eval_sq for an l2 target, bracketed by
+    sqrt_bracket); the first maximiser is the witness."""
+    size = norm_eval_sq if is_l2(T.target) else norm_eval
+    best, witness = max(((size(T.target, T(v)), v) for v in vertices),
+                        key=lambda pair: pair[0])
+    if size is norm_eval_sq:
+        lo, hi = sqrt_bracket(best)
+        return OpNormResult((lo + hi) / 2, lo, hi, EXACT, witness, best)
+    return OpNormResult(best, best, best, EXACT, witness, best * best)
+
+
+def min_preimage_norm_sq_reference(C):
+    """The square of the minimal preimage norm under a surjective C: the
+    gauge of conv(+-C e) over the rational source-ball extreme points e,
+    mapped by C in Fractions, else the least-norm preimage's norm."""
+    try:
+        points = ball_extreme_points(C.source)
+    except NormSpecError:
+        return lambda v: norm_eval_sq(C.source, min_norm_preimage(C, v)[0])
+    gauge = hull_gauge(dict.fromkeys(
+        _canonical_sign(w) for w in map(C, points) if any(w)), C.target.dim)
+    return lambda v: gauge(v) ** 2
 
 
 def map_to_json(T, source_label=None, target_label=None):
@@ -295,16 +323,22 @@ def _rat(f):
 
 
 def vertices_by_subset_enum(halfspaces, dim):
-    """All feasible intersections of d active constraints (oracle)."""
+    """All feasible intersections of d active constraints (oracle): one
+    rref_reference of [rows | 1] per d-subset whose rows are independent,
+    read off the reduced rows.  A subset holding a row beside its negation
+    (or a zero row) is singular and skipped unreduced."""
+    rows = [tuple(a) for a in halfspaces]
+    negs = [tuple(-x for x in a) for a in rows]
     out = set()
-    for combo in itertools.combinations(range(len(halfspaces)), dim):
-        rows = [halfspaces[i] for i in combo]
-        if rank_reference(rows) < dim:
+    for combo in itertools.combinations(range(len(rows)), dim):
+        subset = [rows[i] for i in combo]
+        if any(negs[i] in subset for i in combo):
             continue
-        pt = solve_reference(rows, [ONE] * dim)
-        if pt is None:
+        reduced, pivots = rref_reference([r + (ONE,) for r in subset], dim)
+        if len(pivots) < dim:
             continue
-        if all(linalg.dot(a, pt) <= 1 for a in halfspaces):
+        pt = tuple(r[dim] for r in reduced)
+        if all(linalg.dot(a, pt) <= 1 for a in rows):
             out.add(pt)
     return out
 

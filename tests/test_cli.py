@@ -444,6 +444,13 @@ _SKEW = [["1", "-2"], ["1", "1"]]
      '"stage_norms":[{"exact":"1/2","float":0.5},{"exact":"5/6",'
      '"float":0.8333333333333334},{"exact":"17/6",'
      '"float":2.8333333333333335}],"tail":["0.5","1/3",2]}]}'),
+    # The float shadow of a value above the float range is null.
+    ("norms", {"system": {"builtin": "l1_drop", "stages": 2},
+               "vectors": [["1e309", "0"]]}, [], 0,
+     '{"stages":2,"system":"l1_drop","vectors":[{"limit":null,'
+     '"limit_lower_bound":{"exact":"1' + "0" * 309 + '","float":null},'
+     '"stage_norms":[{"exact":"1' + "0" * 309 + '","float":null},'
+     '{"exact":"1' + "0" * 309 + '","float":null}],"tail":["1e309","0"]}]}'),
     ("anp-dp", {"system": {"builtin": "linf_drop", "stages": 3},
                 "sequence": [["1", "0", "0"], ["1", "1", "0"],
                              ["1", "1", "1"], ["1", "1", "1"]],
@@ -472,7 +479,8 @@ _SKEW = [["1", "-2"], ["1", "1"]]
      '"slope_threshold":-0.8,"ts":[0.0,0.5]}'),
 ], ids=["opnorm-wlinf-l2", "quotient-wlinf", "opnorm-hpoly-l1",
         "opnorm-l1-hpoly", "determine-prefix", "gfda-linf",
-        "dualize-padding", "validate-max-stage", "norms-echo", "anp-dp-tol",
+        "dualize-padding", "validate-max-stage", "norms-echo",
+        "norms-float-overflow", "anp-dp-tol",
         "curves-inline-max-stage"])
 def test_report_text_is_pinned(tmp_path, capsys, command, job, extra, code,
                                text):
@@ -1008,6 +1016,13 @@ _NAMED = {
                                    "job.generator: more generator stages "
                                    "than system stages (--max-stage cut the "
                                    "system to 2 stages)"),
+    "zero-weight": ("opnorm", dict(_SQUARE_MAP, source=dict(
+        _SQUARE_MAP["source"], spec={"kind": "lp", "p": "1",
+                                     "weights": ["0", "1"]})), [],
+        "job.source.spec: weights must be strictly positive"),
+    "weight-count": ("opnorm", dict(_SQUARE_MAP, target=dict(
+        _SQUARE_MAP["target"], dim=3)), [],
+        "job.target.spec: weight count != dim"),
     # Refused before the integer 10^3000000 is built.
     "huge-decimal-exponent": ("norms", dict(_L1_PAIR,
                                             vectors=[["1e3000000", "0"]]),

@@ -5,17 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from banachlim import linalg, linmap, space
 from banachlim.scalar import Q, ZERO, ONE, from_float, to_float
-from banachlim.linmap import (EXACT, SAMPLED_BOUND, LinearMap, RangeError,
-                              adjoint, is_isometric_embedding,
+from banachlim.linmap import (EXACT, SAMPLED_BOUND, LinearMap, MapVerdict,
+                              RangeError, adjoint, is_isometric_embedding,
                               is_one_lipschitz, is_quotient_map, linear_map,
                               min_norm_preimage, operator_norm, quotient_norm)
 from banachlim.space import (NormedSpace, VPolytope, ball_extreme_points,
-                             hpoly_space, lp_space, norm_eval, norm_eval_sq,
-                             vpoly_space)
+                             hpoly_space, is_l2, lp_space, norm_eval,
+                             norm_eval_sq, vpoly_space)
 
 from oracles import (compose, count_lp_solves, hull_contains,
                      lower_enumeration_caps, map_from_json, map_to_json,
-                     random_rational_vector, random_spanning_vectors)
+                     min_preimage_norm_sq_reference,
+                     opnorm_over_vertices_reference, random_rational_vector,
+                     random_spanning_vectors)
 
 
 def _rand_polytope_space(rng, dim):
@@ -322,6 +324,82 @@ def test_uncovered_target_vertex_fails_both_verdicts():
         assert not ev.verdict
         assert ev.reason == "dual extension needs norm > 1"
         assert min_norm_preimage(adjoint(A), ev.witness)[1] > 1
+
+
+def _kind_space(rng, kind, dim):
+    """A random space of one norm kind: weighted "1", "inf" or "2", or an
+    "hpoly" or "vpoly" polytope."""
+    if kind in ("1", "inf", "2"):
+        return lp_space(kind, weights=[Q(rng.randint(1, 6), rng.randint(1, 4))
+                                       for _ in range(dim)])
+    vecs = random_spanning_vectors(rng, dim, dim + rng.randint(1, 3))
+    return hpoly_space(vecs) if kind == "hpoly" else vpoly_space(vecs)
+
+
+def _outcome(f, T):
+    """f(T), or the message of the NormSpecError it raises."""
+    try:
+        return f(T)
+    except space.NormSpecError as e:
+        return str(e)
+
+
+def test_integer_images_match_the_fraction_reference(monkeypatch):
+    # Operator norms and preimage gauges read the integer ball record and
+    # the integer images of its points.  Every result (value, bracket,
+    # witness, exact square) and every quotient and isometry verdict with
+    # its witness equals that of the Fraction path of tests/oracles.py, on
+    # maps between every norm kind: zero maps, coordinate maps, dense maps,
+    # V-polytope targets above _FACET_DIM, and quotient maps onto the image
+    # ball, scaled to fail or pass loosely.
+    rng = random.Random(2501)
+    kinds = ("1", "inf", "2", "hpoly", "vpoly")
+    maps = []
+    for k in range(100):
+        src = _kind_space(rng, kinds[k % 5], rng.randint(1, 4))
+        tgt = _kind_space(rng, kinds[k // 5 % 5], rng.randint(1, 4))
+        if k % 4 == 0:
+            rows = [[0] * src.dim for _ in range(tgt.dim)]
+        elif k % 4 == 1:
+            cols = rng.sample(range(max(src.dim, tgt.dim)), tgt.dim)
+            rows = [[int(j == c) for j in range(src.dim)] for c in cols]
+        else:
+            rows = [[Q(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(src.dim)] for _ in range(tgt.dim)]
+        maps.append(linear_map(src, tgt, rows))
+    for dim in (5, 5, 6):
+        maps.append(_rand_map(rng, _kind_space(rng, "hpoly", 3),
+                              _kind_space(rng, "vpoly", dim)))
+    for k in range(12):
+        src = _kind_space(rng, kinds[k % 5], rng.choice([3, 4]))
+        if not is_l2(src):
+            T = _image_maps(rng, src)[0]
+            for scale in (ONE, Q(1, 2), Q(2)):
+                maps.append(linear_map(src, vpoly_space(
+                    [linalg.vec_scale(scale, v)
+                     for v in T.target.spec.vertices]), T.matrix))
+    assert sum(T.coords is not None for T in maps) >= 25
+
+    def results(T):
+        return tuple(_outcome(f, T) for f in (
+            operator_norm, is_quotient_map, is_isometric_embedding,
+            lambda T: is_isometric_embedding(adjoint(T))))
+
+    got = [results(T) for T in maps]
+    for T in maps:
+        if not is_l2(T.source):
+            assert linmap._opnorm_over_vertices(T) == \
+                opnorm_over_vertices_reference(T, ball_extreme_points(T.source))
+    monkeypatch.setattr(linmap, "_opnorm_over_vertices", lambda T: (
+        opnorm_over_vertices_reference(T, ball_extreme_points(T.source))))
+    monkeypatch.setattr(linmap, "_min_preimage_norm_sq",
+                        min_preimage_norm_sq_reference)
+    assert [results(T) for T in maps] == got
+    # The covering checks ran: quotient verdicts both ways, with witnesses.
+    quotients = [r[1] for r in got if isinstance(r[1], MapVerdict)]
+    assert sum(v.verdict for v in quotients) >= 5
+    assert sum(v.reason == "min preimage norm != target norm"
+               for v in quotients) >= 5
 
 
 def test_cover_and_lp_routes_agree(monkeypatch):

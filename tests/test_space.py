@@ -12,7 +12,8 @@ from banachlim.determining import _FloatNorms
 from banachlim.scalar import Q, ZERO, ONE, to_float
 from banachlim.space import (DimensionMismatch, HPolytope, LpNorm,
                              NormedSpace, NormSpecError, VPolytope,
-                             ball_extreme_points, dual_space, hpoly_space,
+                             ball_extreme_points, ball_extreme_record,
+                             dual_space, hpoly_space,
                              hull_gauge, lp_space, norm_eval, norm_eval_sq,
                              space_from_json, space_to_json, spec_from_json,
                              spec_to_json, validate_norm_spec, vpoly_space)
@@ -227,6 +228,49 @@ def test_hpoly_vertices_vs_subset_oracle():
         assert set(ball_extreme_points(S)) == {
             tuple(s if j == i else ZERO for j in range(dim))
             for i in range(dim) for s in (ONE, -ONE)}
+
+
+def test_ball_extreme_record_unscales_to_the_extreme_points():
+    # The record is integer rows over one positive denominator: +-each
+    # generator in order, or a rows ball's cached enumeration.
+    rng = random.Random(2502)
+    spaces = [lp_space(p, weights=[Q(rng.randint(1, 6), rng.randint(1, 4))
+                                   for _ in range(dim)])
+              for p in (1, "inf") for dim in (1, 2, 3)]
+    spaces += [build(random_spanning_vectors(rng, dim, dim + 2))
+               for build in (hpoly_space, vpoly_space) for dim in (2, 3, 4, 5)]
+    for S in spaces + [dual_space(S) for S in spaces]:
+        verts, den = ball_extreme_record(S)
+        assert type(den) is int and den > 0
+        assert all(type(v) is int for p in verts for v in p)
+        assert [linalg.unscale(p, den) for p in verts] == \
+            ball_extreme_points(S)
+        kind, B = space.ball_form(S.spec)
+        if kind == "gens":
+            assert ball_extreme_points(S) == [
+                v for u in B for v in (u, tuple(-x for x in u))]
+        else:
+            assert (verts, den) == \
+                space._symmetric_ball(tuple(map(tuple, B)), S.dim)[:2]
+    with pytest.raises(NormSpecError, match="not a polytope"):
+        ball_extreme_record(lp_space(2, dim=2))
+
+
+def test_subset_oracle_matches_the_irredundant_reference():
+    # The subset oracle, one reduction per subset with no row beside its
+    # negation, finds the vertices that irredundant_reference reads off
+    # every sign vector of every independent d-subset.
+    rng = random.Random(2503)
+    for k in range(36):
+        dim = (2, 3, 4)[k % 3]
+        vecs = random_spanning_vectors(rng, dim, dim + rng.randint(0, 2))
+        for _ in range(rng.randint(0, 2)):
+            a = rng.choice(vecs)
+            vecs.append(rng.choice([a, tuple(Q(-2) * x for x in a)]))
+        halfspaces = [r for f in vecs for r in (f, tuple(-v for v in f))]
+        rng.shuffle(halfspaces)
+        assert vertices_by_subset_enum(halfspaces, dim) == \
+            irredundant_reference(vecs, dim)[1]
 
 
 def test_norm_attainment_on_dual_vertices():
